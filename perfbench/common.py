@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -22,14 +22,18 @@ WORK = ROOT / ".perfbench"
 JOBS = 1
 
 #: Set-ups per run; ``setup_s`` is their median.
-SETUP_REPEATS = 5
+SETUP_REPEATS = 7
 
-#: The benchmark process (and the children it starts) runs on the first
-#: CPU it may use; the stream server gets the last one.  Left to the OS,
-#: the placement changes from run to run and so does the speed.
-CPUS = sorted(os.sched_getaffinity(0))
-BENCH_CPU = CPUS[0]
-SERVER_CPU = CPUS[-1]
+#: Median time of ``reference_kernel`` on the host the benchmark was
+#: sized on (2-vCPU Xeon VM).  ``setup_s`` is reported at that speed.
+NOMINAL_KERNEL_S = 0.35
+
+#: The benchmark process and every child it starts, the stream server
+#: included, run on the first CPU they may use.  Left to the OS, the
+#: placement changes from run to run and so does the speed; and the
+#: reference kernel that scales the times runs on this CPU, while the
+#: two CPUs of a small VM drift apart.
+BENCH_CPU = sorted(os.sched_getaffinity(0))[0]
 
 
 # -- memory ------------------------------------------------------------------
@@ -62,15 +66,30 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(ordered[int(rank) - 1])
 
 
-def setup_runs(workload: str, seed: int) -> List[float]:
-    """Wall seconds of ``SETUP_REPEATS`` runs of ``setup_probe.py``."""
+def probe_setup(workload: str, seed: int) -> float:
+    """Wall seconds of one run of ``setup_probe.py`` in a fresh process."""
     probe = [sys.executable, str(ROOT / "perfbench" / "setup_probe.py"), workload, str(seed)]
-    times = []
+    t0 = time.perf_counter()
+    subprocess.run(probe, env=child_env(), check=True, stdout=subprocess.DEVNULL)
+    return time.perf_counter() - t0
+
+
+def timed_setups(setup: Callable[[], float], calibration: "Calibration") -> Dict[str, List[float]]:
+    """``SETUP_REPEATS`` set-ups, each between two reference-kernel samples.
+
+    ``setup`` does one set-up and returns its wall seconds.  Besides the
+    raw seconds this returns each one scaled to the host speed the
+    benchmark was sized at (``scaled``): raw seconds times
+    ``NOMINAL_KERNEL_S`` over the mean kernel time just before and after.
+    ``setup_s`` is the median of ``scaled``.
+    """
+    calibration.sample()
+    raw, scaled = [], []
     for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        subprocess.run(probe, env=child_env(), check=True, stdout=subprocess.DEVNULL)
-        times.append(time.perf_counter() - t0)
-    return times
+        seconds = setup()
+        raw.append(seconds)
+        scaled.append(calibration.bracket(seconds) * NOMINAL_KERNEL_S)
+    return {"raw": raw, "scaled": scaled}
 
 
 def child_env() -> Dict[str, str]:
@@ -148,18 +167,26 @@ class Calibration:
     """Times of the reference kernel, run between the timed repetitions.
 
     On a shared host the speed of the whole machine drifts by tens of
-    percent over minutes.  Dividing a workload's time by the kernel's
-    time measured in the same stretch of the same run cancels most of
-    that drift, so ``work_ratio`` compares program versions, not hosts.
+    percent over minutes.  Dividing a repetition's time by the mean
+    kernel time measured just before and just after it cancels part of
+    that drift, so ``work_ratio`` compares program versions more than
+    host states.
     """
 
     def __init__(self) -> None:
         self.samples: List[float] = []
 
-    def sample(self) -> None:
+    def sample(self) -> float:
         t0 = time.perf_counter()
         reference_kernel()
         self.samples.append(time.perf_counter() - t0)
+        return self.samples[-1]
+
+    def bracket(self, seconds: float) -> float:
+        """``seconds`` (just timed, after a sample) over the mean kernel time
+        of the sample before it and a new one taken now."""
+        before = self.samples[-1]
+        return seconds / ((before + self.sample()) / 2.0)
 
 
 class Outcome:
@@ -178,6 +205,22 @@ class Outcome:
     def count(self, attempted: int, failed: Sequence[str] = ()) -> None:
         self.attempted += attempted
         self.failures.extend(failed)
+
+
+def repetitions(seconds: float, minimum: int) -> Iterator[int]:
+    """Indices of the timed repetitions: at least ``minimum``, then more
+    while one more, as long as the longest so far, still ends within
+    ``seconds`` of the first."""
+    started = time.perf_counter()
+    longest = 0.0
+    n = 0
+    while True:
+        t0 = time.perf_counter()
+        if n >= minimum and t0 - started + longest > seconds:
+            return
+        yield n
+        longest = max(longest, time.perf_counter() - t0)
+        n += 1
 
 
 def print_metric(name: str, value, unit: str, samples: Optional[int] = None, note: str = "") -> None:

@@ -6,9 +6,11 @@ exercise reads 0 there, which is the prediction for that pairing.
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Dict, List, Tuple
 
+from common import ROOT
 from tracer import Tracer
 
 EXPERIMENT_IDS = (
@@ -28,48 +30,14 @@ REDUCERS = {
     "popularity": "StreamingPopularity",
 }
 
-#: (metric name, unit).  ``*_s`` metrics are span self times, except
-#: ``experiments.<ID>_s``: the experiment's whole wall time, fallbacks
-#: included.  Counts marked invariant depend only on the seed.
+#: (metric name, unit), in ``BENCHMARK.json`` order.  ``*_s`` metrics are
+#: span self times, except ``experiments.<ID>_s``: the experiment's whole
+#: wall time, fallbacks included.  The traced run does a fixed amount of
+#: work (one paper-trace pass, one flood, a fixed set of broadcasts), so
+#: its counts depend only on the seed and its times only on the program.
 PER_LAYER: List[Tuple[str, str]] = [
-    ("synthesis.engine_s", "s"),
-    ("synthesis.connections", "count"),  # invariant
-    ("measurement.sort_s", "s"),
-    ("measurement.npz_write_s", "s"),
-    ("measurement.npz_write_mb", "MB"),
-    ("measurement.shard_load_s", "s"),
-    ("measurement.concat_s", "s"),
-    ("measurement.to_trace_s", "s"),
-    ("filtering.streaming_s", "s"),
-    ("filtering.records_s", "s"),
-    ("filtering.queries_in", "count"),  # invariant
-    ("filtering.queries_kept", "count"),  # invariant
-    ("filtering.kept_ratio", "ratio"),  # invariant
-    *[(f"analysis.reducer.{name}_s", "s") for name in REDUCERS],
-    *[(f"experiments.{eid}_s", "s") for eid in EXPERIMENT_IDS],
-    ("generator.window_s_median", "s"),
-    ("generator.window_s_max", "s"),
-    ("generator.events_per_window", "count"),  # invariant
-    ("framing.encode_s", "s"),
-    ("framing.decode_s", "s"),
-    ("framing.bytes_per_event", "B"),
-    ("server.backpressure_waits", "count"),
-    ("server.rate_wait_s", "s"),
-    ("server.buffered_frames_peak", "count"),
-    ("server.frames_produced", "count"),  # invariant
-    ("client.frames", "count"),  # invariant
-    ("client.bytes", "B"),
-    ("client.decode_s", "s"),
-    ("client.late_frames", "count"),
-    ("overlay.simulate_s", "s"),
-    ("overlay.messages_total", "count"),  # invariant
-    ("overlay.query_hits", "count"),  # invariant
-    ("overlay.rounds", "count"),  # invariant
-    ("overlay.keepalive_pings", "count"),  # invariant
-    ("overlay.peers_simulated", "count"),  # invariant
-    ("trace.work_s", "s"),
-    ("trace.unattributed_s", "s"),
-    ("trace.spans", "count"),
+    (metric["name"], metric["unit"])
+    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
 ]
 
 

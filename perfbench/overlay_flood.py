@@ -14,7 +14,9 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from common import Calibration, Outcome, median, peak_rss_mib, print_metric, reset_peak_rss, setup_runs
+from common import (
+    Calibration, Outcome, median, peak_rss_mib, print_metric, probe_setup, repetitions, reset_peak_rss, timed_setups,
+)
 from layers import patch_overlay
 from tracer import Tracer, spanner
 
@@ -58,50 +60,57 @@ def counts(result) -> dict:
 def run(seed: int, seconds: float, tracer: Optional[Tracer], outcome: Outcome, calibration: Calibration):
     import repro.gnutella.columnar_overlay as overlay
 
-    setups = setup_runs("overlay-flood", seed) if tracer is None else []
+    setups = timed_setups(lambda: probe_setup("overlay-flood", seed), calibration) if tracer is None else None
     reference = reference_check(seed, outcome)
     if tracer is not None:
         patch_overlay(tracer)
     span = spanner(tracer)
 
+    t0 = time.perf_counter()
     with span("phase.workload"):
         workload = make_workload(seed)
-    times, runs, peaks = [], [], []
-    started = time.perf_counter()
-    while len(times) < MIN_REPS or time.perf_counter() - started < seconds:
-        calibration.sample()
+    phases_s = time.perf_counter() - t0
+    times, ratios, runs, peaks = [], [], [], []
+    calibration.sample()
+    # The traced run floods once, so its per-layer sums cover a fixed
+    # amount of work.
+    for _ in range(1) if tracer else repetitions(seconds, MIN_REPS):
         reset_peak_rss()
         t0 = time.perf_counter()
         with span("phase.simulate"):
             result = overlay.simulate_workload(workload, HOURS * 3600.0)
         times.append(time.perf_counter() - t0)
         peaks.append(peak_rss_mib())
+        ratios.append(calibration.bracket(times[-1]))
         runs.append(counts(result))
-    calibration.sample()
-    peak = max(peaks)
     for rep in runs[1:]:
         outcome.check("flood counts identical across runs", rep == runs[0])
 
     rates = [runs[0]["overlay.messages_total"] / t for t in times]
-    work_s = median(times)
     n = len(times)
     print(f"overlay-flood: {PEERS} peers for {HOURS:g} h, {runs[0]['overlay.peers_simulated']} peers simulated, "
           f"{runs[0]['overlay.messages_total']} messages per run, {n} run(s)")
-    if setups:
-        print_metric("setup_s", median(setups), "s", len(setups))
     print_metric("flood_messages_per_s", median(rates), "1/s", n)
-    print_metric("simulate_s", work_s, "s", n)
-    print_metric("peak_rss_mb", peak, "MiB", n, "simulate phase")
-    e2e = {
-        "setup_s": (median(setups) if setups else 0.0, "s"),
-        "work_s": (work_s, "s"),
-        "peak_rss_mb": (peak, "MiB"),
+    print_metric("simulate_s", median(times), "s", n)
+    # The process's RSS creeps up by about 1 MiB per flood, so the peak
+    # is taken over a fixed number of floods, not over as many as fit.
+    peak = median(peaks[:MIN_REPS])
+    print_metric("simulate_rss_mb", peak, "MiB", min(n, MIN_REPS), "peak RSS of the simulate phase, first floods")
+    figures = {
+        "work_s": median(times),
+        "work_ratio": median(ratios),
+        "repetitions": len(times),
+        "peak_rss_mb": peak,
+        "phases_s": phases_s + sum(times),
     }
     detail = {
-        "overlay_flood": {"flood_messages_per_s": median(rates), "work_s": work_s, "peak_rss_mb": peak},
+        "overlay_flood": {"flood_messages_per_s": median(rates), **figures},
         "counts": runs[0],
         "simulate_runs_s": times,
-        "setup_runs_s": setups,
+        "simulate_rss_mb": peaks,
         "reference": reference,
     }
-    return e2e, detail, dict(runs[0])
+    if setups:
+        figures["setup_s"] = median(setups["scaled"])
+        detail["setup_runs_s"] = setups
+    return figures, detail, dict(runs[0])

@@ -6,24 +6,39 @@ of ``ALL_EXPERIMENTS`` in stream mode on those shards (the read side:
 shard load, streaming filter, reducers and the record-path fallback).
 The two phases are timed separately, each with its own peak RSS, so a
 change that trades one for the other shows.
+
+Each pass runs in a fresh child process (this file run as a script), so
+its peak RSS does not depend on what the passes before it left behind.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 from typing import Optional
 
-from common import JOBS, WORK, Calibration, Outcome, median, peak_rss_mib, print_metric, reset_peak_rss, setup_runs
+from common import (
+    JOBS, WORK, Calibration, Outcome, child_env, median, peak_rss_mib, print_metric, probe_setup, repetitions,
+    reset_peak_rss, timed_setups,
+)
 from layers import EXPERIMENT_IDS, patch_trace_layers
 from tracer import Tracer, spanner
 
-DAYS = 3.0
+DAYS = 2.0
 SHARD_HOURS = 24.0
 #: The once-per-invocation streamed-vs-in-memory battery runs at this size.
 EQUIVALENCE_DAYS = 0.5
 EQUIVALENCE_SHARD_HOURS = 6.0
+#: A pass that takes longer has hung.
+PASS_TIMEOUT_S = 150.0
+MIN_PASSES = 3
 
 
 def paper_config(seed: int, days: float = DAYS, shard_hours: float = SHARD_HOURS):
@@ -48,12 +63,14 @@ def table2_arithmetic_holds(report) -> bool:
 
 
 def t2_rows_match(result, report) -> bool:
+    """T2's "ours" column equals ``report``, row by row."""
     ours = {row["measure"]: row["ours"] for row in result.rows}
-    return bool(ours) and all(ours[name] == value for name, value in report.as_dict().items() if name in ours)
+    expected = report.as_dict()
+    return bool(ours) and all(name in expected and expected[name] == value for name, value in ours.items())
 
 
-def one_pass(seed: int, outcome: Outcome, span, calibration: Calibration) -> dict:
-    """Synthesize to shards, then run every experiment on them."""
+def one_pass(seed: int, span) -> dict:
+    """Synthesize to shards, then run every experiment on them (in a fresh process)."""
     from repro.experiments.base import ExperimentContext
     from repro.experiments.registry import ALL_EXPERIMENTS, run_experiment
     from repro.synthesis import TraceSynthesizer
@@ -61,7 +78,7 @@ def one_pass(seed: int, outcome: Outcome, span, calibration: Calibration) -> dic
     if tuple(ALL_EXPERIMENTS) != EXPERIMENT_IDS:
         raise RuntimeError(f"experiment registry changed: {list(ALL_EXPERIMENTS)}")
     config = paper_config(seed)
-    dest = WORK / f"paper-shards-{seed}"
+    dest = WORK / f"paper-shards-{seed}-{os.getpid()}"
     shutil.rmtree(dest, ignore_errors=True)
     try:
         reset_peak_rss()
@@ -71,7 +88,6 @@ def one_pass(seed: int, outcome: Outcome, span, calibration: Calibration) -> dic
         synthesize_s = time.perf_counter() - t0
         synthesize_rss = peak_rss_mib()
         spill = sum((shards.root / info.file).stat().st_size for info in shards.shards)
-        calibration.sample()
 
         results = {}
         reset_peak_rss()
@@ -85,11 +101,11 @@ def one_pass(seed: int, outcome: Outcome, span, calibration: Calibration) -> dic
         experiments_s = time.perf_counter() - t0
         experiments_rss = peak_rss_mib()
 
-        for eid, result in results.items():
-            outcome.check(f"{eid} returns rows", bool(result.rows))
-        report = ctx.streaming.report
-        outcome.check("table 2 arithmetic", table2_arithmetic_holds(report))
-        outcome.check("streamed report equals T2 rows", t2_rows_match(results["T2"], report))
+        checks = {f"{eid} returns rows": bool(result.rows) for eid, result in results.items()}
+        checks["table 2 arithmetic"] = table2_arithmetic_holds(ctx.streaming.report)
+        # The record-path filter (TA1's fallback, cached on the context)
+        # computes Table 2 independently of the streaming filter.
+        checks["T2 rows equal the record-path report"] = t2_rows_match(results["T2"], ctx.filtered.report)
         return {
             "synthesize_s": synthesize_s,
             "experiments_s": experiments_s,
@@ -98,9 +114,23 @@ def one_pass(seed: int, outcome: Outcome, span, calibration: Calibration) -> dic
             "spill_mb": spill / 1e6,
             "connections": shards.n_connections,
             "shards": shards.n_shards,
+            "checks": checks,
         }
     finally:
         shutil.rmtree(dest, ignore_errors=True)
+
+
+def run_pass(seed: int, spans: Optional[Path], run_id: str) -> dict:
+    """One pass in a child process: every pass starts from the same
+    memory state, so its per-phase peak RSS does not depend on the
+    passes before it."""
+    command = [sys.executable, __file__, "--seed", str(seed), "--run-id", run_id]
+    if spans is not None:
+        command += ["--spans", str(spans)]
+    out = subprocess.run(
+        command, env=child_env(), check=True, stdout=subprocess.PIPE, text=True, timeout=PASS_TIMEOUT_S
+    )
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 def equivalence(seed: int, outcome: Outcome) -> dict:
@@ -121,43 +151,69 @@ def equivalence(seed: int, outcome: Outcome) -> dict:
 
 
 def run(seed: int, seconds: float, tracer: Optional[Tracer], outcome: Outcome, calibration: Calibration):
-    setups = setup_runs("paper-trace", seed) if tracer is None else []
+    setups = timed_setups(lambda: probe_setup("paper-trace", seed), calibration) if tracer is None else None
     checks = equivalence(seed, outcome)
-    if tracer is not None:
-        patch_trace_layers(tracer)
 
-    span = spanner(tracer)
-    passes = []
-    started = time.perf_counter()
-    while not passes or time.perf_counter() - started < seconds:
-        calibration.sample()
-        passes.append(one_pass(seed, outcome, span, calibration))
+    spans = WORK / "tmp" / f"{tracer.run_id}-pass.jsonl" if tracer else None
+    passes, ratios = [], []
     calibration.sample()
+    # The traced run makes exactly one pass, so its per-layer sums
+    # cover a fixed amount of work.
+    for _ in range(1) if tracer else repetitions(seconds, MIN_PASSES):
+        one = run_pass(seed, spans, tracer.run_id if tracer else "untraced")
+        ratios.append(calibration.bracket(one["synthesize_s"] + one["experiments_s"]))
+        for name, ok in one.pop("checks").items():
+            outcome.check(name, ok)
+        passes.append(one)
+    if tracer:
+        tracer.extend(spans)
+        spans.unlink()
 
-    work = [p["synthesize_s"] + p["experiments_s"] for p in passes]
     summary = {
         key: median([p[key] for p in passes])
         for key in ("synthesize_s", "experiments_s", "synthesize_rss_mb", "experiments_rss_mb")
     }
     summary["spill_mb"] = passes[0]["spill_mb"]
-    summary["work_s"] = median(work)
+    work = [p["synthesize_s"] + p["experiments_s"] for p in passes]
     n = len(passes)
     print(f"paper-trace: {DAYS:g} days of the paper scenario, {SHARD_HOURS:g} h shards, "
           f"{passes[0]['connections']} connections in {passes[0]['shards']} shards, {n} pass(es)")
-    if setups:
-        summary["setup_s"] = median(setups)
-        print_metric("setup_s", summary["setup_s"], "s", len(setups))
     print_metric("synthesize_s", summary["synthesize_s"], "s", n)
     print_metric("experiments_s", summary["experiments_s"], "s", n)
     print_metric("synthesize_rss_mb", summary["synthesize_rss_mb"], "MiB", n)
     print_metric("experiments_rss_mb", summary["experiments_rss_mb"], "MiB", n)
     print_metric("spill_mb", summary["spill_mb"], "MB", n, "exact byte count / 1e6")
-    peak = max(summary["synthesize_rss_mb"], summary["experiments_rss_mb"])
-    e2e = {
-        "setup_s": (summary.get("setup_s", 0.0), "s"),
-        "work_s": (summary["work_s"], "s"),
-        "peak_rss_mb": (peak, "MiB"),
+    figures = {
+        "work_s": median(work),
+        "work_ratio": median(ratios),
+        "repetitions": len(passes),
+        "peak_rss_mb": max(summary["synthesize_rss_mb"], summary["experiments_rss_mb"]),
+        "phases_s": sum(work),
     }
-    detail = {"paper_trace": summary, "passes": passes, "equivalence": checks, "setup_runs_s": setups}
-    return e2e, detail, {}
+    detail = {"paper_trace": summary, "passes": passes, "equivalence": checks}
+    if setups:
+        figures["setup_s"] = median(setups["scaled"])
+        detail["setup_runs_s"] = setups
+    return figures, detail, {}
 
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description="One paper-trace pass (a child of run.py).")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--run-id", required=True)
+    parser.add_argument("--spans", type=Path, default=None, help="trace the pass and write its spans here")
+    args = parser.parse_args()
+    tracer = Tracer(args.run_id) if args.spans else None
+    if tracer:
+        patch_trace_layers(tracer)
+    try:
+        result = one_pass(args.seed, spanner(tracer))
+    finally:
+        if tracer:
+            tracer.unpatch()
+            tracer.write(args.spans)
+    print(json.dumps(result))
+
+
+if __name__ == "__main__":
+    main()

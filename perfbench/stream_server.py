@@ -35,7 +35,6 @@ async def broadcast(command: dict, model) -> dict:
         start_clients=command["clients"],
         buffer_frames=command["buffer_frames"],
         rate_events_per_s=command["rate"],
-        burst_events=command["burst"],
         stamps=command["stamps"],
     )
     server = WorkloadStreamServer(stream, config, source=WorkloadFrameSource(stream, model=model))

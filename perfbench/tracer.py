@@ -157,6 +157,27 @@ class Tracer:
             if name is None or s.name == name
         )
 
+    def nesting_errors(self) -> int:
+        """Spans that do not lie within their parent's interval."""
+        return sum(
+            1
+            for s in self.spans
+            if s.parent is not None
+            and not (self.spans[s.parent].start_ns <= s.start_ns <= s.end_ns <= self.spans[s.parent].end_ns)
+        )
+
+    def extend(self, path: Path) -> None:
+        """Append the spans another process wrote with :meth:`write`."""
+        offset = len(self.spans)
+        with path.open() as fh:
+            for line in fh:
+                row = json.loads(line)
+                parent = None if row["parent"] is None else row["parent"] + offset
+                span = Span(row["id"] + offset, row["name"], parent, row["start_ns"])
+                span.end_ns = row["end_ns"]
+                span.counts = row["counts"]
+                self.spans.append(span)
+
     def write(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w") as fh:

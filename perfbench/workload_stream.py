@@ -9,17 +9,18 @@ checks them all.
 
 * **Saturation**: unthrottled broadcasts, events per second delivered to
   each subscriber from HELLO to END.
-* **Open loop**: one broadcast at each fixed absolute rate, with a token
-  bucket burst of about one frame.  Frame ``k`` is *due* at
-  ``t0 + max(0, E_k - burst) / rate``, where ``E_k`` counts the events of
-  frames ``0..k`` and ``t0`` is the server's send stamp of frame 0: the
-  release time of an ideal token bucket with the benchmark's rate and
-  burst, full at ``t0``.  Lateness is decode-complete time minus due
-  time, so a production stall delays every later frame's measure (no
-  coordinated omission).  Production lag is send stamp minus due time.
-  A rate is sustainable when the p99 lateness meets the limit and the
-  lateness of the last quarter of frames exceeds that of the first
-  quarter by less than the growth limit.
+* **Open loop**: one broadcast at each fixed absolute rate, with the
+  server's default token-bucket burst of one second of the rate.  Frame
+  ``k`` is *due* at ``t0 + max(0, E_k - burst) / rate``, where ``E_k``
+  counts the events of frames ``0..k`` and ``t0`` is the server's send
+  stamp of frame 0: the release time of an ideal token bucket with the
+  benchmark's rate and burst, full at ``t0``.  Lateness is
+  decode-complete time minus due time, so a production stall delays
+  every later frame's measure (no coordinated omission).  Production
+  lag is send stamp minus due time.  A rate is sustainable when the p99
+  lateness meets the limit and the lateness of the last quarter of
+  frames exceeds that of the first quarter by less than the growth
+  limit.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import time
 from typing import Dict, List, Optional
 
-from common import SERVER_CPU, SETUP_REPEATS, WORK, Calibration, Outcome, child_env, median, percentile, print_metric
+from common import (
+    WORK, Calibration, Outcome, child_env, median, percentile, print_metric, repetitions, timed_setups,
+)
 from layers import patch_client_side
 from tracer import Tracer, spanner
 
@@ -43,29 +45,29 @@ BUFFER_FRAMES = 16
 #: A broadcast that takes longer has hung; the run fails instead of waiting.
 BROADCAST_TIMEOUT_S = 120.0
 
-#: Stream identity (the seed comes from ``--seed``).  Small windows keep
-#: each synchronous window generation short next to one frame's schedule.
-N_PEERS = 2000
-WINDOW_SECONDS = 60.0
-BATCH_SESSIONS = 128
-#: Frames per open-loop broadcast: 800 lateness samples over 2 subscribers.
-N_FRAMES = 400
-#: Frames per unthrottled broadcast: about a second each on the sizing host.
-SATURATION_FRAMES = 1600
+#: Stream identity (the seed comes from ``--seed``): the population the
+#: generator was sized at, with ``repro-p2p serve``'s default window and
+#: frame size.  A window holds about 104k events (about 32 frames) and
+#: takes about 0.14 s to generate, synchronously, between two frames.
+N_PEERS = 20000
+WINDOW_SECONDS = 900.0
+BATCH_SESSIONS = 2048
+#: Frames per open-loop broadcast (five windows).
+N_FRAMES = 160
+#: Frames per unthrottled broadcast (eight windows).
+SATURATION_FRAMES = 256
 
 #: Fixed open-loop rates in events/s (absolute, never derived from a
 #: measured saturation), lowest first; the lowest is the reference rate.
-RATES = (8000.0, 16000.0, 32000.0)
-#: One frame of events: DATA frames hold ~200 events, at most ~400.  A
-#: burst below the frame size would make the token bucket drop the
-#: tokens its sleep overshoots, which slows the stream below the rate.
-BURST_EVENTS = 400.0
+#: The token bucket keeps ``repro-p2p serve``'s default burst, one second
+#: of the rate.
+RATES = (100000.0, 200000.0, 400000.0)
 #: Met by the reference rate on the host the benchmark was sized on.
-LATENESS_LIMIT_MS = 50.0
+LATENESS_LIMIT_MS = 300.0
 #: Lateness may rise by less than this from the first to the last quarter
 #: of a run's frames; more means a growing backlog.
-GROWTH_LIMIT_MS = 10.0
-SATURATION_SHARE = 0.6
+GROWTH_LIMIT_MS = 50.0
+SATURATION_SHARE = 0.5
 SATURATION_MIN_REPS = 3
 
 
@@ -92,7 +94,6 @@ class ServerProcess:
             env=child_env(),
             text=True,
         )
-        os.sched_setaffinity(self.proc.pid, {SERVER_CPU})
         ready = self.read()
         self.setup_s = time.perf_counter() - t0
         if not ready.get("ready"):
@@ -200,7 +201,6 @@ def broadcast(server: ServerProcess, seed: int, n_frames: int, rate: Optional[fl
         "clients": CLIENTS,
         "buffer_frames": BUFFER_FRAMES,
         "rate": rate,
-        "burst": BURST_EVENTS if rate else None,
         "stamps": rate is not None,
     })
     port = server.read()["port"]
@@ -236,11 +236,12 @@ def check_subscriber(sub: dict, expected: Dict[int, str], outcome: Outcome) -> N
 def lateness(sub: dict, rate: float) -> dict:
     """Per-frame lateness and production lag against the rate schedule (ms)."""
     frames = sub["frames"]
+    burst = rate  # the server's default: one second of the rate
     t0 = frames[0][0]
     due_ns, events_so_far = [], 0
     for _, _, events in frames:
         events_so_far += events
-        due_ns.append(t0 + max(0.0, events_so_far - BURST_EVENTS) / rate * 1e9)
+        due_ns.append(t0 + max(0.0, events_so_far - burst) / rate * 1e9)
     late = [(decoded - due) / 1e6 for (_, decoded, _), due in zip(frames, due_ns)]
     lag = [(sent - due) / 1e6 for (sent, _, _), due in zip(frames, due_ns)]
     quarter = max(1, len(late) // 4)
@@ -253,22 +254,25 @@ def lateness(sub: dict, rate: float) -> dict:
 
 def run(seed: int, seconds: float, tracer: Optional[Tracer], outcome: Outcome, calibration: Calibration):
     run_id = tracer.run_id if tracer else "untraced"
-    setups = []
+    setups = None
     if tracer is None:
-        for _ in range(SETUP_REPEATS - 1):
+        def start_server() -> float:
             probe = ServerProcess(False, run_id)
-            setups.append(probe.setup_s)
             probe.close()
+            return probe.setup_s
+
+        setups = timed_setups(start_server, calibration)
     else:
         patch_client_side(tracer)
     span = spanner(tracer)
     server = ServerProcess(tracer is not None, run_id)
-    setups.append(server.setup_s)
-    subs_all, stats_all, peaks = [], [], []
+    subs_all, stats_all, peaks, walls = [], [], [], []
 
     def measured(n_frames: int, rate: Optional[float], phase: str):
+        t0 = time.perf_counter()
         with span(phase):
             subs, reply = broadcast(server, seed, n_frames, rate, tracer)
+        walls.append(time.perf_counter() - t0)
         subs_all.extend(subs)
         stats_all.append(reply["stats"])
         peaks.append(reply["peak_rss_mb"])
@@ -289,14 +293,15 @@ def run(seed: int, seconds: float, tracer: Optional[Tracer], outcome: Outcome, c
         # One untimed broadcast first: the first unthrottled broadcast of a
         # run is consistently slower than the rest.  It is still checked.
         measured(SATURATION_FRAMES, None, "phase.saturation_warmup")
-        saturation, times = [], []
-        started = time.perf_counter()
-        while len(times) < SATURATION_MIN_REPS or time.perf_counter() - started < SATURATION_SHARE * seconds:
-            calibration.sample()
+        saturation, times, ratios = [], [], []
+        calibration.sample()
+        # The traced run makes one saturation broadcast, so its per-layer
+        # sums cover a fixed set of broadcasts.
+        for _ in range(1) if tracer else repetitions(SATURATION_SHARE * seconds, SATURATION_MIN_REPS):
             subs, _ = measured(SATURATION_FRAMES, None, "phase.saturation")
             times.append(max(s["seconds"] for s in subs))
+            ratios.append(calibration.bracket(times[-1]))
             saturation += [sum(f[2] for f in s["frames"]) / s["seconds"] for s in subs]
-        calibration.sample()
     finally:
         server_report = server.close()
 
@@ -306,42 +311,44 @@ def run(seed: int, seconds: float, tracer: Optional[Tracer], outcome: Outcome, c
     reference = open_loop[RATES[0]]
     sustainable = max([r for r in RATES if open_loop[r]["sustainable"]], default=0.0)
     figures = {
-        "setup_s": median(setups),
+        "work_s": median(times),
+        "work_ratio": median(ratios),
+        "repetitions": len(times),
+        # Peak over the fixed broadcasts (open loop and warm-up), not over
+        # as many saturation broadcasts as fit in the time.
+        "peak_rss_mb": peaks[len(RATES)],
+        "phases_s": sum(walls),
+    }
+    stream = {
         "saturation_events_per_s": median(saturation),
         "sustainable_events_per_s": sustainable,
         "lateness_p50_ms": reference["lateness_p50_ms"],
         "lateness_p99_ms": reference["lateness_p99_ms"],
-        "peak_rss_mb": max(peaks),
-        "work_s": median(times),
     }
     print(f"workload-stream: {N_PEERS} peers, {WINDOW_SECONDS:g} s windows, {BATCH_SESSIONS} sessions/frame, "
-          f"{CLIENTS} subscribers; open loop: {N_FRAMES} frames at {list(RATES)} events/s, burst {BURST_EVENTS:g} "
-          f"events, lateness limit {LATENESS_LIMIT_MS:g} ms; saturation: {len(times)} x {SATURATION_FRAMES} frames")
-    if tracer is None:
-        print_metric("setup_s", figures["setup_s"], "s", len(setups))
-    print_metric("saturation_events_per_s", figures["saturation_events_per_s"], "1/s", len(saturation),
+          f"{CLIENTS} subscribers; open loop: {N_FRAMES} frames at {list(RATES)} events/s, burst one second of "
+          f"the rate, lateness limit {LATENESS_LIMIT_MS:g} ms; saturation: {len(times)} x {SATURATION_FRAMES} frames")
+    print_metric("saturation_events_per_s", stream["saturation_events_per_s"], "1/s", len(saturation),
                  "per subscriber, unthrottled")
     print_metric("sustainable_events_per_s", sustainable, "1/s", len(RATES), "highest fixed rate meeting the limit")
     for name in ("lateness_p50_ms", "lateness_p99_ms"):
-        print_metric(name, figures[name], "ms", reference["samples"], f"at {RATES[0]:g} events/s")
-    print_metric("peak_rss_mb", figures["peak_rss_mb"], "MiB", len(peaks), "server process")
+        print_metric(name, stream[name], "ms", reference["samples"], f"at {RATES[0]:g} events/s")
+    print_metric("server_rss_mb", figures["peak_rss_mb"], "MiB", len(RATES) + 1,
+                 "server process, open-loop and warm-up broadcasts")
     for rate, row in open_loop.items():
         print(f"  rate {rate:>8g}/s: lateness p50 {row['lateness_p50_ms']:.2f} p99 {row['lateness_p99_ms']:.2f} "
               f"max {row['lateness_max_ms']:.2f} ms; production lag p50 {row['production_lag_p50_ms']:.2f} "
               f"max {row['production_lag_max_ms']:.2f} ms; growth {row['growth_ms']:+.2f} ms; "
               f"{'sustainable' if row['sustainable'] else 'NOT sustainable'} (n={row['samples']})")
 
-    e2e = {
-        "setup_s": (figures["setup_s"], "s"),
-        "work_s": (figures["work_s"], "s"),
-        "peak_rss_mb": (figures["peak_rss_mb"], "MiB"),
-    }
     detail = {
-        "workload_stream": figures,
+        "workload_stream": {**stream, **figures},
         "open_loop": {str(rate): row for rate, row in open_loop.items()},
         "saturation_runs_s": times,
-        "setup_runs_s": setups,
     }
+    if setups:
+        figures["setup_s"] = median(setups["scaled"])
+        detail["setup_runs_s"] = setups
     extra = {}
     if tracer is not None:
         extra = dict(server_report["layers"])
@@ -355,7 +362,7 @@ def run(seed: int, seconds: float, tracer: Optional[Tracer], outcome: Outcome, c
             "client.late_frames": sum(row["late_frames"] for row in open_loop.values()),
         })
         detail["server_self_times"] = server_report["self_times"]
-    return e2e, detail, extra
+    return figures, detail, extra
 
 
 def open_loop_row(per_sub: List[dict], stats: dict) -> dict:
