@@ -9,15 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import host_block
 from repro.experiments import ExperimentContext
 from repro.synthesis import SynthesisConfig
-
-
-def pytest_report_header(config):
-    """Stamp the same host block the JSON bench reports carry."""
-    block = host_block()
-    return "bench host: " + ", ".join(f"{k}={v}" for k, v in block.items())
 
 #: Bench scale: 2 days at 0.35 conn/s gives ~60k connections -- large
 #: enough for stable distributions, synthesized once in ~20 s.

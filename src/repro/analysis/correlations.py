@@ -45,13 +45,15 @@ class CorrelationResult:
 
 
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:
-    """Spearman rank correlation coefficient."""
+    """Spearman rank correlation coefficient (NaN if either input is constant)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size != b.size:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
     if a.size < 3:
         raise ValueError("need at least 3 observations")
+    if np.all(a == a[0]) or np.all(b == b[0]):
+        return float("nan")
     from scipy.stats import spearmanr
 
     rho, _ = spearmanr(a, b)

@@ -1,40 +1,30 @@
-"""Paper-scale out-of-core gate, shared by benchmarks and smoke tests.
+"""Streamed-vs-in-memory exactness check for the out-of-core pipeline.
 
-:func:`measure_paper_scale` runs the full streaming pipeline at the
-paper's measurement scale -- 40 days at ~1.26 connections/second, the
-one configuration the in-memory record path cannot hold comfortably --
-and returns a report proving two things at once:
+:func:`streamed_equivalence_checks` runs one configuration both ways --
+synthesis spilled to time-ordered shards with rules 1-5 and every
+Fig. 1-11 reducer in a single streaming pass, and the in-memory
+columnar/record path -- and reports whether the Table 2 report and
+every figure product are *bit-identical* (tolerance 0.0: the reducers
+are engineered for identical reduction order, not KS-approximate
+agreement).
 
-* **it fits**: synthesis spills time-ordered shards to disk, rules 1-5
-  and every Fig. 1-11 reducer run in a single bounded-memory pass, and
-  the process's peak RSS stays under a laptop-class budget;
-* **it's right**: at a scale where both pipelines run
-  (``equivalence_days``), the streamed Table 2 report and every figure
-  product are *bit-identical* to the in-memory path (tolerance 0.0 --
-  the reducers are engineered for identical reduction order, not
-  KS-approximate agreement).
-
-The real gate (``benchmarks/bench_paper_scale.py``) runs it at the full
-40 days and emits ``BENCH_paper_scale.json``; the tier-1 smoke test and
-the CI gate run the same code at ``days=2.0``.
+The tier-1 suite runs it at test scale; the repository benchmark's
+``paper-trace`` workload (``perfbench/paper_trace.py``, declared in
+``BENCHMARK.json``) runs it as an output check and times the streamed
+paper scenario end to end.  The 40-day memory budget is enforced by
+``repro-p2p experiment all --stream --scenario paper --max-rss-mb 2048``.
 """
 
 from __future__ import annotations
 
-import shutil
-import tempfile
-import time
-from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from repro.core import host_block, peak_rss_mb
-from repro.core.popularity import QueryClassId
 from repro.core.regions import Region
 from repro.filtering import apply_filters_columnar
-from repro.synthesis import SynthesisConfig, TraceSynthesizer, scenario_config
+from repro.synthesis import SynthesisConfig, TraceSynthesizer
 
 from .active import active_sessions
 from .correlations import session_correlations
@@ -45,15 +35,11 @@ from .passive import (
     passive_duration_ccdf_by_region,
     passive_fraction_by_hour,
 )
-from .popularity import daily_region_counts, fit_class_popularity, query_class_sizes
+from .popularity import daily_region_counts
 from .shared_files import shared_files_distribution
 from .streaming import run_streaming
 
-__all__ = ["DEFAULT_RSS_BUDGET_MB", "measure_paper_scale", "streamed_equivalence_checks"]
-
-#: The acceptance budget: the full 40-day paper scenario must complete
-#: synthesis + filtering + Fig. 1-11 analyses under 2 GiB of peak RSS.
-DEFAULT_RSS_BUDGET_MB = 2048.0
+__all__ = ["streamed_equivalence_checks"]
 
 _MAJOR = (Region.NORTH_AMERICA, Region.EUROPE, Region.ASIA)
 
@@ -203,121 +189,3 @@ def streamed_equivalence_checks(config: SynthesisConfig, workdir: Union[str, Pat
         "all_identical": all(checks.values()),
     }
 
-
-def measure_paper_scale(
-    days: Optional[float] = None,
-    shard_hours: float = 24.0,
-    seed: int = 20040315,
-    jobs: int = 1,
-    equivalence_days: float = 2.0,
-    rss_budget_mb: float = DEFAULT_RSS_BUDGET_MB,
-    workdir: Optional[Union[str, Path]] = None,
-) -> dict:
-    """Run the streamed paper scenario end to end and report on it.
-
-    ``days=None`` runs the paper's full 40-day window (the ``paper``
-    scenario); the CI gate passes ``days=2.0``.  ``workdir`` holds the
-    shard spill (a private temporary directory when omitted).  Peak RSS
-    is the *process* high-water mark -- run this in a fresh process for
-    a meaningful budget check, as ``benchmarks/bench_paper_scale.py``
-    does.
-    """
-    config = scenario_config("paper", seed=seed, jobs=jobs)
-    if days is not None:
-        config = replace(config, days=float(days))
-    config = replace(config, shard_days=float(shard_hours) / 24.0)
-
-    tmpdir: Optional[str] = None
-    if workdir is None:
-        tmpdir = tempfile.mkdtemp(prefix="repro-p2p-paper-scale-")
-        workdir = tmpdir
-    workdir = Path(workdir)
-
-    report = {
-        "scale": {
-            "days": config.days,
-            "mean_arrival_rate": config.mean_arrival_rate,
-            "seed": seed,
-            "shard_hours": shard_hours,
-            "jobs": jobs,
-        },
-        "host": host_block(),
-        "runs": {},
-    }
-    try:
-        # -- phase 1: streamed synthesis ----------------------------------
-        t0 = time.perf_counter()
-        sharded = TraceSynthesizer(config).run_sharded(workdir / "trace")
-        elapsed = time.perf_counter() - t0
-        shard_bytes = sum(
-            (sharded.root / info.file).stat().st_size for info in sharded.shards
-        )
-        report["runs"]["synthesize_stream"] = {
-            "days": config.days,
-            "connections": sharded.n_connections,
-            "hop1_queries": sharded.hop1_query_count(),
-            "n_shards": sharded.n_shards,
-            "shard_bytes_on_disk": shard_bytes,
-            "seconds": round(elapsed, 4),
-            "connections_per_second": round(
-                sharded.n_connections / max(elapsed, 1e-9), 1
-            ),
-            "peak_rss_mb": round(peak_rss_mb(), 1),
-        }
-
-        # -- phase 2: one streaming pass, rules 1-5 + every figure --------
-        t0 = time.perf_counter()
-        streamed = run_streaming(sharded)
-        active = streamed.active
-        # Finalize-side figure products (cheap array reductions; they are
-        # part of the "analyze the whole trace" claim, so stay timed).
-        figures = {
-            "f1_regions": len(streamed.geographic.one_hop),
-            "f2_bins": int(streamed.shared_files.counts.size),
-            "f3_regions": len(streamed.load),
-            "f4_regions": len(streamed.passive_fraction),
-            "f5_region_ccdfs": len(streamed.passive.by_region()),
-            "f6_region_ccdfs": len(active.queries_per_session_ccdf()),
-            "f7_region_ccdfs": len(active.first_query_ccdf()),
-            "f8_region_ccdfs": len(active.interarrival_ccdf()),
-            "f9_region_ccdfs": len(active.time_after_last_ccdf()),
-            "c1_correlations": len(active.correlations()),
-            "t3_days": len(streamed.daily),
-        }
-        if int(config.days) >= 1:
-            figures["t3_class_sizes_1day"] = query_class_sizes(streamed.daily, 1).na_only
-            try:
-                figures["f11_na_alpha"] = round(
-                    fit_class_popularity(streamed.daily, QueryClassId.NA_ONLY).fit.alpha, 4
-                )
-            except ValueError:
-                figures["f11_na_alpha"] = None
-        elapsed = time.perf_counter() - t0
-        report["runs"]["filter_analyze_stream"] = {
-            "seconds": round(elapsed, 4),
-            "final_sessions": streamed.report.final_sessions,
-            "final_queries": streamed.report.final_queries,
-            "active_sessions": int(active.region.size),
-            "figures": figures,
-            "peak_rss_mb": round(peak_rss_mb(), 1),
-        }
-        report["table2"] = streamed.report.as_dict()
-
-        # -- phase 3: exactness at a scale both pipelines can run ---------
-        t0 = time.perf_counter()
-        report["equivalence"] = streamed_equivalence_checks(
-            replace(config, days=float(equivalence_days)), workdir
-        )
-        report["equivalence"]["seconds"] = round(time.perf_counter() - t0, 4)
-    finally:
-        if tmpdir is not None:
-            shutil.rmtree(tmpdir, ignore_errors=True)
-
-    peak = round(peak_rss_mb(), 1)
-    report["host"]["peak_rss_mb"] = peak
-    report["budget"] = {
-        "rss_budget_mb": rss_budget_mb,
-        "peak_rss_mb": peak,
-        "within_budget": bool(peak <= rss_budget_mb),
-    }
-    return report

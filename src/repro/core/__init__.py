@@ -53,7 +53,7 @@ from .popularity import (
     top_n_overlap,
     zipf_for_class,
 )
-from .runtime import available_cpus, host_block, peak_rss_mb
+from .runtime import available_cpus, peak_rss_mb
 from .regions import (
     KEY_PERIODS,
     MAJOR_REGIONS,
@@ -85,7 +85,7 @@ from .workload_io import (
 
 __all__ = [
     # arrays / runtime
-    "available_cpus", "host_block", "peak_rss_mb", "segmented_arange", "segmented_cumsum",
+    "available_cpus", "peak_rss_mb", "segmented_arange", "segmented_cumsum",
     # distributions
     "Distribution", "Empirical", "Exponential", "Lognormal", "Pareto",
     "Spliced", "Truncated", "Uniform", "Weibull", "Zipf",

@@ -84,7 +84,7 @@ class ArrayBackend:
     accelerate; anything not overridden inherits the reference.
     """
 
-    #: Registry key; also stamped into benchmark host blocks.
+    #: Registry key (``use_backend``, ``REPRO_KERNELS_BACKEND``).
     name = ""
 
     # -- segmented (ragged) kernels ------------------------------------

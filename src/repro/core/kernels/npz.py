@@ -42,8 +42,7 @@ def load_npz_members(path: Union[str, Path], mmap_mode) -> Dict[str, np.ndarray]
     the eager load, e.g. before deleting the file.
     """
     if not mmap_mode:
-        with np.load(path, allow_pickle=False, mmap_mode=None) as data:
-            return {name: data[name] for name in data.files}
+        return _load_eager(path)
     try:
         members: Dict[str, np.ndarray] = {}
         with zipfile.ZipFile(path) as archive, open(path, "rb") as fh:
@@ -77,5 +76,14 @@ def load_npz_members(path: Union[str, Path], mmap_mode) -> Dict[str, np.ndarray]
                     )
         return members
     except (ValueError, KeyError, OSError, zipfile.BadZipFile):
-        with np.load(path, allow_pickle=False, mmap_mode=None) as data:
-            return {name: data[name] for name in data.files}
+        return _load_eager(path)
+
+
+def _load_eager(path: Union[str, Path]) -> Dict[str, np.ndarray]:
+    """Every member read into memory.
+
+    The handle is opened here, not by ``np.load``: ``np.load`` leaves
+    its own handle open when the archive is not a readable zip.
+    """
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False, mmap_mode=None) as data:
+        return {name: data[name] for name in data.files}

@@ -1,22 +1,18 @@
-"""Host runtime introspection shared by schedulers and benchmarks.
+"""Host runtime introspection shared by the schedulers and the CLI.
 
 Every component that sizes a worker pool (sharded synthesis, the
-experiment fan-out) or stamps host metadata into a benchmark report must
-agree on how many CPUs are *actually* usable: ``os.cpu_count()`` reports
-the machine, while cgroup limits and CPU affinity masks (containers, CI
-runners, ``taskset``) can leave the process with far fewer.  Disagreeing
-on this is how a benchmark ends up recording "4 cores" for a host where
-a 4-worker pool loses to the sequential path.
+experiment fan-out) must agree on how many CPUs are *actually* usable:
+``os.cpu_count()`` reports the machine, while cgroup limits and CPU
+affinity masks (containers, CI runners, ``taskset``) can leave the
+process with far fewer.
 """
 
 from __future__ import annotations
 
 import os
-import platform
 import sys
-from typing import Any, Dict
 
-__all__ = ["available_cpus", "peak_rss_mb", "host_block"]
+__all__ = ["available_cpus", "peak_rss_mb"]
 
 
 def available_cpus() -> int:
@@ -31,9 +27,9 @@ def peak_rss_mb() -> float:
     """High-water resident set size of this process, in MiB.
 
     ``ru_maxrss`` is kilobytes on Linux but bytes on macOS; normalizing
-    here keeps every benchmark's ``peak_rss_mb`` field comparable across
-    hosts.  Returns 0.0 where the ``resource`` module is unavailable
-    (non-POSIX), so report emitters can stamp it unconditionally.
+    here keeps the ``--max-rss-mb`` budget the same on every host.
+    Returns 0.0 where the ``resource`` module is unavailable (non-POSIX),
+    so the budget check never fails there.
     """
     try:
         import resource
@@ -43,26 +39,3 @@ def peak_rss_mb() -> float:
     if sys.platform == "darwin":  # pragma: no cover - macOS reports bytes
         return peak / (1024.0 * 1024.0)
     return peak / 1024.0
-
-
-def host_block() -> Dict[str, Any]:
-    """The ``"host"`` block every benchmark report starts from.
-
-    One emitter instead of a copy per benchmark module, so the fields a
-    report archives -- and the invariants readers rely on (the kernels
-    backend a run executed under, the lint ruleset it was checked
-    against) -- cannot drift between reports.  ``peak_rss_mb`` is
-    deliberately absent: it is only meaningful after the measured work
-    ran, so emitters stamp it at the end of the run.
-    """
-    from repro.core.kernels import active_backend
-    from repro.lint import RULESET_VERSION
-
-    return {
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "available_cpus": available_cpus(),
-        "kernels_backend": active_backend().name,
-        "lint_ruleset": RULESET_VERSION,
-    }

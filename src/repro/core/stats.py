@@ -195,9 +195,12 @@ def ratio_binner_fraction(
             r = np.where(den > 0, num / np.maximum(den, 1e-12), np.nan)
         ratios.append(r)
     mat = np.stack(ratios)
-    avg = np.nanmean(mat, axis=0)
-    lo = np.nanmin(mat, axis=0)
-    hi = np.nanmax(mat, axis=0)
+    # Bins with no ratio on any day stay NaN; reduce only the others.
+    seen = ~np.isnan(mat).all(axis=0)
+    avg, lo, hi = (np.full(mat.shape[1], np.nan) for _ in range(3))
+    avg[seen] = np.nanmean(mat[:, seen], axis=0)
+    lo[seen] = np.nanmin(mat[:, seen], axis=0)
+    hi[seen] = np.nanmax(mat[:, seen], axis=0)
     return avg, lo, hi
 
 

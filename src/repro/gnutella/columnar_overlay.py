@@ -85,8 +85,6 @@ MONITOR_IP = "129.217.1.1"
 #: arrays stay inside the laptop RSS budget at 50k+ populations.
 QUERIES_PER_TASK = 512
 
-_IDLE_OVERSHOOT = IDLE_PROBE_SECONDS + IDLE_CLOSE_SECONDS
-
 
 @dataclass(frozen=True)
 class OverlayConfig:
@@ -682,9 +680,6 @@ class OverlayRunResult:
     run_seconds: float
     n_rounds: int
     peers_simulated: int
-    #: Wall-clock seconds, stamped by the bench harness after the run
-    #: (the engine itself never reads the host clock; see DET201).
-    elapsed_seconds: float
     messages_total: int
     # per query (plan order)
     query_messages: np.ndarray
@@ -711,10 +706,6 @@ class OverlayRunResult:
     @property
     def n_queries(self) -> int:
         return int(self.query_messages.size)
-
-    @property
-    def messages_per_second(self) -> float:
-        return self.messages_total / max(self.elapsed_seconds, 1e-9)
 
 
 def compare_runs(a: OverlayRunResult, b: OverlayRunResult) -> Dict[str, bool]:
@@ -901,8 +892,12 @@ def _run_columnar(
     last_activity = plan.start.copy()
     if plan.n_queries:
         np.maximum.at(last_activity, plan.query_session, plan.query_te)
+    # Same association order as MeasurementNode.client_departed, so the
+    # observed ends match the event engine bit for bit.
     end_obs = np.where(
-        plan.departs, plan.end_true + _IDLE_OVERSHOOT, plan.run_seconds
+        plan.departs,
+        (plan.end_true + IDLE_PROBE_SECONDS) + IDLE_CLOSE_SECONDS,
+        plan.run_seconds,
     )
     n_queries = np.bincount(plan.query_session, minlength=n).astype(np.int64)
     pings, pongs = _session_keepalives(plan)
@@ -910,7 +905,6 @@ def _run_columnar(
     result = OverlayRunResult(
         backend="columnar", run_seconds=plan.run_seconds,
         n_rounds=plan.n_rounds, peers_simulated=base + n,
-        elapsed_seconds=0.0,
         messages_total=int(msgs.sum()),
         query_messages=msgs, query_hits=hits, query_reach=reach,
         hop1_session=plan.query_session[h_order],
@@ -1121,7 +1115,6 @@ def _run_event(
     result = OverlayRunResult(
         backend="event", run_seconds=plan.run_seconds,
         n_rounds=plan.n_rounds, peers_simulated=base + n,
-        elapsed_seconds=0.0,
         messages_total=int(msgs.sum()),
         query_messages=msgs, query_hits=hits,
         query_reach=np.bincount(

@@ -42,8 +42,8 @@ __all__ = [
 ]
 
 #: Bump when rules are added/removed or their semantics change; recorded
-#: in every JSON report and in bench artifacts so an archived run states
-#: what was enforced at the time.  2.0: the dataflow analyzer -- RNG7xx
+#: in every JSON and SARIF report so an archived run states what was
+#: enforced at the time.  2.0: the dataflow analyzer -- RNG7xx
 #: stream provenance, DTY8xx dtype/reduction-order contracts, NOQ901
 #: suppression audit, project call graph.
 RULESET_VERSION = "2.1"

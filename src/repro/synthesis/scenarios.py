@@ -8,9 +8,11 @@ comparable across runs and machines:
 * ``laptop`` -- the default: one day, distribution-stable, <10 s.
 * ``bench``  -- the benchmark scale: two days at a higher rate.
 * ``paper``  -- the paper's full 40 days at ~1.26 connections/second
-  (~4.5M connections); runs end to end in minutes at ~1 GB peak RSS
-  via the streaming pipeline (``repro-p2p experiment all --scenario
-  paper --stream``; see ``BENCH_paper_scale.json``).
+  (~4.5M connections); runs end to end in bounded memory via the
+  streaming pipeline (``repro-p2p experiment all --scenario paper
+  --stream --max-rss-mb 2048`` fails if it outgrows 2 GiB).  The
+  repository benchmark (``perfbench/``, ``BENCHMARK.json``) times two
+  days of it end to end.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 from repro.cli import build_parser, main
+from repro.lint import format_text
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -26,23 +27,23 @@ class TestParser:
 
 
 class TestLintCommand:
-    def test_repo_lints_clean(self, capsys):
+    def test_repo_lints_clean(self, repo_lint_report):
         # Clean against the committed (empty) baseline; a stale baseline
         # entry still fails, so a budget cannot silently outlive its debt.
-        code = main(["lint", "src", "tests", "--root", str(REPO_ROOT)])
-        out = capsys.readouterr().out
-        assert code == 0, out
+        # `repro-p2p lint src tests` prints format_text of this report and
+        # exits with its exit code.
+        out = format_text(repo_lint_report)
+        assert repo_lint_report.exit_code == 0, out
         assert "0 finding(s)" in out
 
-    def test_repo_lint_debt_is_exactly_the_baseline(self, capsys):
+    def test_repo_lint_debt_is_exactly_the_baseline(self, repo_lint_report):
         # The baseline is empty, so the no-baseline run must be clean
         # too: there is no budgeted debt left for new findings to hide
         # behind (the last entry, workload_io's eager read, now states
-        # mmap_mode=None explicitly).
-        code = main(["lint", "src", "tests", "--root", str(REPO_ROOT),
-                     "--no-baseline"])
-        out = capsys.readouterr().out
-        assert code == 0, out
+        # mmap_mode=None explicitly).  `--no-baseline` reports exactly
+        # the findings the baseline suppressed on top of these.
+        out = format_text(repo_lint_report)
+        assert repo_lint_report.suppressed_by_baseline == 0, out
         assert "0 finding(s)" in out
 
     def test_violation_fails_with_clickable_location(self, tmp_path, capsys):

@@ -218,17 +218,17 @@ class TestJsonOutput:
 class TestRepoIsClean:
     """The acceptance gate: the repo lints clean with the committed baseline."""
 
-    def test_src_and_tests_lint_clean(self):
-        config = load_config(REPO_ROOT)
-        report = run_lint(["src", "tests"], REPO_ROOT, config=config)
+    def test_src_and_tests_lint_clean(self, repo_lint_report):
+        report = repo_lint_report
         assert report.findings == [], format_text(report)
         assert report.stale_baseline == []
 
-    def test_clean_even_without_the_baseline(self):
+    def test_clean_even_without_the_baseline(self, repo_lint_report):
         # No hidden budgeted debt: the no-baseline run matches the
-        # baselined one finding for finding (i.e. zero for zero).
-        config = load_config(REPO_ROOT)
-        report = run_lint(["src", "tests"], REPO_ROOT, config=config, baseline={})
+        # baselined one finding for finding (i.e. zero for zero), since
+        # it differs only by the findings the baseline suppressed.
+        report = repo_lint_report
+        assert report.suppressed_by_baseline == 0, format_text(report)
         assert report.findings == [], format_text(report)
 
     def test_fixtures_are_excluded_by_config(self):

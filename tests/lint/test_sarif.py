@@ -1,7 +1,6 @@
 """SARIF output: valid structure, deterministic bytes, faithful results."""
 
 import json
-from pathlib import Path
 
 from repro.lint import (
     RULESET_VERSION,
@@ -79,9 +78,6 @@ class TestSarifStability:
                                 "findings", "suppressed", "stale_baseline"}
         assert "sarif" not in format_text(report).lower()
 
-    def test_repo_sarif_run_is_clean(self):
-        root = Path(__file__).resolve().parents[2]
-        from repro.lint import load_config
-        report = run_lint(["src"], root, config=load_config(root))
-        log = json.loads(format_sarif(report))
+    def test_repo_sarif_run_is_clean(self, repo_lint_report):
+        log = json.loads(format_sarif(repo_lint_report))
         assert log["runs"][0]["results"] == []

@@ -9,7 +9,7 @@ plain-dict model of the same operations.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import SyntheticWorkloadGenerator
@@ -73,6 +73,9 @@ def test_flood_matches_event_reference(
     seed=st.integers(0, 2**16),
     rounds=st.integers(4, 20),
 )
+# Observed session ends differ in the last bit here unless both engines
+# add the idle-probe and idle-close overshoots in the same order.
+@example(n_peers=26, seed=7954, rounds=4)
 def test_simulation_battery_on_random_workloads(n_peers, seed, rounds):
     # The full engine on a shared seed: hop-1 capture stream, reach
     # sets, sessions, keepalives -- every observable identical.
