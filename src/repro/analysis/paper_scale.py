@@ -3,7 +3,8 @@
 :func:`streamed_equivalence_checks` runs one configuration both ways --
 synthesis spilled to time-ordered shards with rules 1-5 and every
 Fig. 1-11 reducer in a single streaming pass, and the in-memory
-columnar/record path -- and reports whether the Table 2 report and
+record-list reference (``apply_filters`` and the per-figure analysis
+functions) -- and reports whether the Table 2 report and
 every figure product are *bit-identical* (tolerance 0.0: the reducers
 are engineered for identical reduction order, not KS-approximate
 agreement).
@@ -23,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from repro.core.regions import Region
-from repro.filtering import apply_filters_columnar
+from repro.filtering import apply_filters
 from repro.synthesis import SynthesisConfig, TraceSynthesizer
 
 from .active import active_sessions
@@ -96,13 +97,13 @@ def streamed_equivalence_checks(config: SynthesisConfig, workdir: Union[str, Pat
     streamed = run_streaming(sharded)
 
     full = TraceSynthesizer(config).run_columnar()
-    block = apply_filters_columnar(full)
     record = full.to_trace()
-    views = active_sessions(block)
+    filtered = apply_filters(record.sessions)
+    views = active_sessions(filtered)
 
     checks = {}
     checks["trace_concat_byte_identical"] = _traces_identical(sharded.concat(), full)
-    checks["table2_report"] = streamed.report.as_dict() == block.report.as_dict()
+    checks["table2_report"] = streamed.report.as_dict() == filtered.report.as_dict()
 
     geo = geographic_distribution(record)
     checks["f1_geographic"] = all(
@@ -121,17 +122,17 @@ def streamed_equivalence_checks(config: SynthesisConfig, workdir: Union[str, Pat
         and _arrays_equal(streamed.load[r].maximum, load[r].maximum)
         for r in load
     )
-    frac = passive_fraction_by_hour(block.to_filter_result().sessions)
+    frac = passive_fraction_by_hour(filtered.sessions)
     checks["f4_passive_fraction"] = set(streamed.passive_fraction) == set(frac) and all(
         _arrays_equal(streamed.passive_fraction[r].average, frac[r].average)
         for r in frac
     )
     checks["f5_passive_durations"] = _ccdf_dicts_equal(
-        streamed.passive.by_region(), passive_duration_ccdf_by_region(block)
+        streamed.passive.by_region(), passive_duration_ccdf_by_region(filtered.sessions)
     ) and all(
         _ccdf_dicts_equal(
             streamed.passive.by_period(region),
-            passive_duration_ccdf_by_period(block, region),
+            passive_duration_ccdf_by_period(filtered.sessions, region),
         )
         for region in (Region.NORTH_AMERICA, Region.EUROPE)
     )
@@ -180,7 +181,7 @@ def streamed_equivalence_checks(config: SynthesisConfig, workdir: Union[str, Pat
         ]
         for region in (None, *_MAJOR)
     )
-    checks["t3_f10_f11_daily_counts"] = streamed.daily == daily_region_counts(block)
+    checks["t3_f10_f11_daily_counts"] = streamed.daily == daily_region_counts(filtered.sessions)
 
     return {
         "days": config.days,

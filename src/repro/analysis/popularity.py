@@ -32,11 +32,10 @@ from repro.measurement.columnar import REGION_CODE, REGION_ORDER
 from .common import MAJOR
 
 #: Every popularity measure accepts the rules-1-3 filtered session
-#: records, the columnar filter result (the vectorized path), or an
-#: already-reduced daily dictionary (the streaming path's accumulator).
+#: records (the reference) or an already-reduced daily dictionary (the
+#: streaming pass's :class:`~repro.analysis.streaming.StreamingPopularity`).
 SessionsLike = Union[
     Sequence[SessionRecord],
-    ColumnarFilterResult,
     Dict[int, Dict[Region, Counter]],
 ]
 
@@ -60,16 +59,10 @@ def daily_region_counts(
     """Per-day, per-region query string counts.
 
     A query is attributed to the day containing its timestamp and the
-    region of the session that issued it.  Given a
-    :class:`~repro.filtering.ColumnarFilterResult` the binning runs as
-    one ``np.unique`` reduction over a combined (day, region, query)
-    key; given session records it walks them (both produce identical
-    dictionaries).
+    region of the session that issued it.
     """
     if isinstance(sessions, dict):
         return sessions  # already reduced (streaming accumulator output)
-    if isinstance(sessions, ColumnarFilterResult):
-        return _daily_region_counts_columnar(sessions)
     out: Dict[int, Dict[Region, Counter]] = {}
     for session in sessions:
         if session.region not in MAJOR:
@@ -85,7 +78,8 @@ def daily_region_counts(
 def _daily_region_counts_columnar(
     result: ColumnarFilterResult,
 ) -> Dict[int, Dict[Region, Counter]]:
-    """Array-reduction implementation over the rules-1-3 kept queries."""
+    """One chunk's counts as one ``np.unique`` reduction over a combined
+    (day, region, query) key of the rules-1-3 kept queries."""
     trace = result.trace
     rows = np.flatnonzero(result.query_mask)
     region_code = trace.session_region[result.session_index[rows]]

@@ -17,9 +17,11 @@ Exactness relies on two properties of the sharded pipeline:
   bins hold exact float64 integer counts) or per-session (medians,
   first/last anchors) and therefore local to one chunk.
 
-The streamed outputs are asserted *equal* -- not approximately equal --
-to the in-memory path by the equivalence suite and the paper-scale
-bench.
+An in-memory trace is the one-chunk case, so every context reads its
+Table 2-3 and Figure 1-11 products from these reducers.  The
+record-list analysis functions are the reference: the equivalence
+checks (:mod:`repro.analysis.paper_scale`) assert the streamed outputs
+*equal* to them -- not approximately equal.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
-from repro.core.regions import KeyPeriod, Region
+from repro.core.regions import PEAK_HOURS, KeyPeriod, Region
 from repro.core.stats import (
     Ccdf,
     TimeOfDayBinner,
@@ -256,6 +258,13 @@ class PassiveDurations:
                 out[period] = empirical_ccdf(durations)
         return out
 
+    def by_peak(self, region: Region, peak: bool) -> np.ndarray:
+        """Durations of ``region``'s sessions starting inside (``peak``)
+        or outside its peak hours, in trace order (Table A.1's split)."""
+        in_region = self.region_code == REGION_CODE[region]
+        in_peak = np.isin(_hour_of_day_array(self.start), sorted(PEAK_HOURS[region]))
+        return self.duration[in_region & (in_peak == peak)]
+
 
 class StreamingPassiveDurations:
     """Accumulates the Figure 5 passive-session columns chunk by chunk."""
@@ -473,8 +482,8 @@ class ActiveArrays:
         """Materialize the ``ActiveSession`` record views.
 
         The explicit opt-out of streaming for consumers that still want
-        per-session objects; identical to
-        ``active_sessions(apply_filters_columnar(trace))`` on the full
+        per-session objects; identical to the record-list reference
+        ``active_sessions(apply_filters(trace.sessions))`` on the full
         trace.  Costs O(total gaps) Python objects -- avoid at paper
         scale.
         """
@@ -514,11 +523,11 @@ class ActiveArrays:
 class StreamingActive:
     """Accumulates :class:`ActiveArrays` one filtered chunk at a time.
 
-    The per-chunk extraction mirrors
-    :func:`~repro.analysis.active._active_sessions_columnar` reduction
-    for reduction: everything per-session (first/last anchors, gap
-    medians) is computed inside the owning chunk, so concatenation in
-    chunk order reproduces the full-trace arrays exactly.
+    The per-chunk extraction is ``searchsorted``/``bincount``/``diff``
+    reductions over the flat eligible query table.  Everything
+    per-session (first/last anchors, gap medians) is computed inside the
+    owning chunk, so concatenation in chunk order reproduces the
+    full-trace arrays exactly.
     """
 
     def __init__(self) -> None:
@@ -624,16 +633,16 @@ class StreamingAnalysis:
 
 def run_streaming(
     shards: Union[Iterable[ColumnarTrace], "object"],
-    split_sessions: bool = False,
 ) -> StreamingAnalysis:
-    """Filter and analyze a sharded trace in one bounded-memory pass.
+    """Filter and analyze a trace in one bounded-memory pass.
 
     ``shards`` is a :class:`~repro.measurement.shards.ShardedTrace` (its
     shards are visited memory-mapped, one at a time) or any iterable of
-    time-ordered :class:`ColumnarTrace` chunks.
+    time-ordered :class:`ColumnarTrace` chunks holding whole sessions --
+    ``[trace]`` analyzes an in-memory trace as a single chunk.
     """
     chunks = shards.iter_shards() if hasattr(shards, "iter_shards") else iter(shards)
-    filt = StreamingFilter(split_sessions=split_sessions)
+    filt = StreamingFilter()
     geographic = StreamingGeographic()
     shared_files = StreamingSharedFiles()
     load = StreamingQueryLoad()
@@ -646,13 +655,8 @@ def run_streaming(
     )
     for chunk in chunks:
         block = filt.push(chunk)
-        if block is not None:
-            for reducer in reducers:
-                reducer.update(block)
-    tail = filt.finish()
-    if tail is not None:
         for reducer in reducers:
-            reducer.update(tail)
+            reducer.update(block)
     return StreamingAnalysis(
         report=filt.report,
         geographic=geographic.finalize(),

@@ -173,6 +173,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--days", type=float, default=2.0, help="trace length in days")
     parser.add_argument("--rate", type=float, default=0.35, help="mean connections/second")
@@ -193,9 +200,9 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
                         help="always synthesize fresh; do not read or write the cache")
     parser.add_argument("--stream", action="store_true",
                         help="out-of-core pipeline: synthesize into time-ordered "
-                             "shards and analyze with single-pass streaming "
-                             "reducers (bounded memory; identical output)")
-    parser.add_argument("--shard-hours", type=float, default=24.0, metavar="H",
+                             "shards on disk and analyze them one at a time "
+                             "(bounded memory; identical output)")
+    parser.add_argument("--shard-hours", type=_positive_float, default=24.0, metavar="H",
                         help="shard width for --stream, in trace hours "
                              "(default: 24, one shard per day)")
     parser.add_argument("--max-rss-mb", type=float, metavar="MB",
@@ -252,7 +259,11 @@ def _trace_cache(args):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "stream", False) and getattr(args, "backend", None) == "event":
+        # Only the columnar engine can spill time-ordered shards to disk.
+        parser.error("--stream requires the columnar backend, not --backend event")
     if args.command == "synthesize":
         return _cmd_synthesize(args)
     if args.command == "experiment":

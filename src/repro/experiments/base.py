@@ -12,12 +12,12 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
-from repro.analysis import active_sessions, run_streaming
+from repro.analysis import run_streaming
 from repro.analysis.active import ActiveSession
 from repro.analysis.streaming import StreamingAnalysis
-from repro.filtering import ColumnarFilterResult, FilterResult, apply_filters, apply_filters_columnar
+from repro.filtering import FilterResult, apply_filters
 from repro.measurement import ColumnarTrace, ShardedTrace, Trace
 from repro.synthesis import (
     SynthesisConfig,
@@ -97,14 +97,15 @@ class ExperimentContext:
     False -- the default -- to always synthesize fresh, keeping library
     and test runs hermetic; the CLI opts in).
 
-    ``stream=True`` switches the context to the out-of-core pipeline:
-    synthesis spills time-ordered shards to disk (:attr:`shards`), and
-    the Table 2 / Figure 1-11 products come from one bounded-memory
-    streaming pass (:attr:`streaming`) instead of whole-trace arrays.
-    Experiments with a streaming branch read those products directly --
-    with results identical to the in-memory path -- while the rest fall
-    back transparently (:attr:`columnar` concatenates the shards, and
-    :attr:`views` materializes the streamed active arrays).
+    The Table 2-3, Figure 1-11, C1 and Appendix-fit products all come
+    from one streaming pass (:attr:`streaming`): rules 1-5 and every
+    reducer fold the trace chunk by chunk.  ``stream`` only says where
+    the trace lives.  ``stream=True`` synthesizes time-ordered shards to
+    disk (:attr:`shards`) and folds them one at a time, in bounded
+    memory; the default folds the in-memory :attr:`columnar` trace as a
+    single chunk.  The record views (:attr:`trace`, :attr:`filtered`)
+    are built only for the experiments that still read records (X1-X4,
+    G1); in stream mode they come from the concatenated shards.
     ``shard_hours`` sets the shard window width (the config's
     ``shard_days`` drives both sharded synthesis and shard granularity).
     """
@@ -167,23 +168,23 @@ class ExperimentContext:
             )
         return load_or_synthesize_sharded(self.config, cache=self.cache)
 
+    @property
+    def source(self) -> Union[ShardedTrace, ColumnarTrace]:
+        """The trace where it lives: :attr:`shards` in stream mode, else
+        :attr:`columnar`."""
+        return self.shards if self.stream else self.columnar
+
     @cached_property
     def streaming(self) -> StreamingAnalysis:
-        """Single-pass filter + Figure 1-11 reducers over :attr:`shards`."""
-        return run_streaming(self.shards)
+        """Rules 1-5 and the Table 2-3 / Figure 1-11 reducers in one pass:
+        over the shards in stream mode, else over :attr:`columnar` as one
+        chunk."""
+        return run_streaming(self.shards if self.stream else [self.columnar])
 
     @cached_property
     def filtered(self) -> FilterResult:
         return apply_filters(self.trace.sessions)
 
     @cached_property
-    def cfiltered(self) -> ColumnarFilterResult:
-        """Vectorized rules 1-5 over the columnar trace (bit-identical
-        Table 2 report to :attr:`filtered`)."""
-        return apply_filters_columnar(self.columnar)
-
-    @cached_property
     def views(self) -> List[ActiveSession]:
-        if self.stream:
-            return self.streaming.active.views()
-        return active_sessions(self.filtered)
+        return self.streaming.active.views()

@@ -9,10 +9,9 @@ goodness-of-fit the paper shows graphically in Figure A.1.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.analysis.active import ActiveSession
-from repro.core.events import SessionRecord
 from repro.core.fitting import (
     fit_lognormal,
     fit_lognormal_discrete,
@@ -76,14 +75,6 @@ def _discrete_ccdf_error(fit, counts) -> float:
     return max(errs) if errs else 0.0
 
 
-def _passive_durations(sessions: Sequence[SessionRecord], peak: bool) -> List[float]:
-    return [
-        s.duration
-        for s in sessions
-        if s.region is _NA and s.is_passive and is_peak_hour(_NA, s.start) == peak
-    ]
-
-
 def _na_views(views: Sequence[ActiveSession], peak: bool) -> List[ActiveSession]:
     return [v for v in views if v.region is _NA and is_peak_hour(_NA, v.start) == peak]
 
@@ -92,7 +83,7 @@ def run_tableA1(ctx: ExperimentContext) -> ExperimentResult:
     """Table A.1: bimodal lognormal fit of passive session duration (NA)."""
     result = ExperimentResult("TA1", "Passive session duration model (NA)")
     for peak in (True, False):
-        durations = _passive_durations(ctx.filtered.sessions, peak)
+        durations = ctx.streaming.passive.by_peak(_NA, peak).tolist()
         if len(durations) < 20:
             result.note(f"peak={peak}: only {len(durations)} sessions; skipped")
             continue

@@ -2,12 +2,8 @@
 
 from __future__ import annotations
 
-from repro.analysis import (
-    passive_duration_ccdf_by_period,
-    passive_duration_ccdf_by_region,
-    passive_fraction_by_hour,
-)
 from repro.core.regions import KeyPeriod, Region
+from repro.core.stats import empirical_ccdf
 
 from .base import ExperimentContext, ExperimentResult
 
@@ -32,12 +28,7 @@ _PAPER_DURATION_ANCHORS = {
 def run_fig4(ctx: ExperimentContext) -> ExperimentResult:
     """Figure 4: fraction of connected peers that are passive."""
     result = ExperimentResult("F4", "Fraction of passive peers")
-    profiles = (
-        ctx.streaming.passive_fraction
-        if ctx.stream
-        else passive_fraction_by_hour(ctx.filtered.sessions)
-    )
-    for region, profile in profiles.items():
+    for region, profile in ctx.streaming.passive_fraction.items():
         lo, hi = _PAPER_PASSIVE_BANDS[region]
         result.add(
             region=region.short,
@@ -56,11 +47,8 @@ def run_fig5(ctx: ExperimentContext) -> ExperimentResult:
     for Europe, checking that early-morning sessions run longer.
     """
     result = ExperimentResult("F5", "Passive session duration")
-    streamed = ctx.streaming.passive if ctx.stream else None
-    by_region = (
-        streamed.by_region() if streamed else passive_duration_ccdf_by_region(ctx.filtered.sessions)
-    )
-    for region, ccdf in by_region.items():
+    passive = ctx.streaming.passive
+    for region, ccdf in passive.by_region().items():
         paper_2min, paper_200min = _PAPER_DURATION_ANCHORS[region]
         result.add(
             region=region.short,
@@ -73,11 +61,7 @@ def run_fig5(ctx: ExperimentContext) -> ExperimentResult:
     # anchors: for Europe, P[duration > 90 min] is ~0.15 for 03:00 starts
     # vs ~0.07 for 13:00 starts.
     for region, paper_anchor in ((Region.NORTH_AMERICA, None), (Region.EUROPE, (0.15, 0.07))):
-        by_period = (
-            streamed.by_period(region)
-            if streamed
-            else passive_duration_ccdf_by_period(ctx.filtered.sessions, region)
-        )
+        by_period = passive.by_period(region)
         for period in KeyPeriod:
             if period not in by_period:
                 continue
@@ -97,31 +81,10 @@ def run_fig5(ctx: ExperimentContext) -> ExperimentResult:
             )
     # The statistically robust version of the (b)/(c) ordering pools all
     # peak vs non-peak start hours (Table A.1's actual conditioning).
-    from repro.core.regions import PEAK_HOURS, is_peak_hour
-
     for region in (Region.NORTH_AMERICA, Region.EUROPE):
-        if streamed:
-            import numpy as np
-
-            from repro.measurement.columnar import REGION_CODE
-
-            in_region = streamed.region_code == REGION_CODE[region]
-            hour = ((streamed.start % 86400.0) // 3600.0).astype(np.int64)
-            peak = np.isin(hour, sorted(PEAK_HOURS[region]))
-            peak_durs = streamed.duration[in_region & peak].tolist()
-            off_durs = streamed.duration[in_region & ~peak].tolist()
-        else:
-            peak_durs = [
-                s.duration for s in ctx.filtered.sessions
-                if s.region is region and s.is_passive and is_peak_hour(region, s.start)
-            ]
-            off_durs = [
-                s.duration for s in ctx.filtered.sessions
-                if s.region is region and s.is_passive and not is_peak_hour(region, s.start)
-            ]
+        peak_durs = passive.by_peak(region, peak=True)
+        off_durs = passive.by_peak(region, peak=False)
         if len(peak_durs) > 30 and len(off_durs) > 30:
-            from repro.core.stats import empirical_ccdf
-
             peak_p = empirical_ccdf(peak_durs).at(5400)
             off_p = empirical_ccdf(off_durs).at(5400)
             ok = off_p > peak_p

@@ -20,13 +20,13 @@ def run_fig10(ctx: ExperimentContext) -> ExperimentResult:
     most 4 of the top 10 are in the next day's top 100.
     """
     result = ExperimentResult("F10", "Hot-set drift")
-    sessions = ctx.streaming.daily if ctx.stream else ctx.filtered.sessions
+    daily = ctx.streaming.daily
     ranges = (("top10", (1, 10)), ("rank11-20", (11, 20)), ("rank21-100", (21, 100)))
     any_pairs = False
     for label, rank_range in ranges:
         for top_n in (10, 20, 100):
             counts = drift_counts(
-                sessions, Region.NORTH_AMERICA, rank_range=rank_range, top_n=top_n
+                daily, Region.NORTH_AMERICA, rank_range=rank_range, top_n=top_n
             )
             if not counts:
                 continue
@@ -78,12 +78,12 @@ def run_fig11(ctx: ExperimentContext) -> ExperimentResult:
     and a steep tail (4.67, ranks 46-100).
     """
     result = ExperimentResult("F11", "Per-day query popularity")
-    sessions = ctx.streaming.daily if ctx.stream else ctx.filtered.sessions
+    daily = ctx.streaming.daily
     for cls, paper_alpha in (
         (QueryClassId.NA_ONLY, ZIPF_ALPHA["na_only"]),
         (QueryClassId.EU_ONLY, ZIPF_ALPHA["eu_only"]),
     ):
-        fit = fit_class_popularity(sessions, cls)
+        fit = fit_class_popularity(daily, cls)
         result.add(
             query_class=cls.value,
             paper_alpha=paper_alpha,
@@ -93,7 +93,7 @@ def run_fig11(ctx: ExperimentContext) -> ExperimentResult:
         )
     try:
         inter = fit_class_popularity(
-            sessions, QueryClassId.NA_EU, split_rank=20, min_day_queries=10
+            daily, QueryClassId.NA_EU, split_rank=20, min_day_queries=10
         )
         result.add(
             query_class="na_eu (body)",
@@ -112,8 +112,8 @@ def run_fig11(ctx: ExperimentContext) -> ExperimentResult:
             )
     except ValueError as exc:
         result.note(f"intersection class too small at this scale: {exc}")
-    na = fit_class_popularity(sessions, QueryClassId.NA_ONLY)
-    eu = fit_class_popularity(sessions, QueryClassId.EU_ONLY)
+    na = fit_class_popularity(daily, QueryClassId.NA_ONLY)
+    eu = fit_class_popularity(daily, QueryClassId.EU_ONLY)
     result.note(
         f"ordering alpha(NA) > alpha(EU): "
         f"{'OK' if na.fit.alpha > eu.fit.alpha else 'VIOLATED'}"

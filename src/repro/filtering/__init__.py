@@ -2,7 +2,7 @@
 
 from .columnar import ColumnarFilterResult, apply_filters_columnar
 from .pipeline import FilterReport, FilterResult, apply_filters
-from .streaming import StreamingFilter, split_for_streaming
+from .streaming import StreamingFilter
 from .rules import (
     INTERARRIVAL_EPSILON,
     rule1_sha1,
@@ -14,7 +14,7 @@ from .rules import (
 __all__ = [
     "FilterReport", "FilterResult", "apply_filters",
     "ColumnarFilterResult", "apply_filters_columnar",
-    "StreamingFilter", "split_for_streaming",
+    "StreamingFilter",
     "INTERARRIVAL_EPSILON", "rule1_sha1", "rule2_duplicates",
     "rule3_short_sessions", "rule45_interarrival_marks",
 ]

@@ -13,7 +13,7 @@ import pytest
 from repro.analysis import run_streaming
 from repro.analysis.active import active_sessions
 from repro.analysis.paper_scale import streamed_equivalence_checks
-from repro.filtering import apply_filters_columnar
+from repro.filtering import apply_filters
 from repro.synthesis import SynthesisConfig, TraceSynthesizer
 
 
@@ -62,6 +62,6 @@ class TestActiveViews:
         # pipeline derives from the same trace.
         streamed = run_streaming(sharded)
         reference = active_sessions(
-            apply_filters_columnar(sharded.concat()).to_filter_result()
+            apply_filters(sharded.concat().to_trace().sessions)
         )
         assert streamed.active.views() == reference

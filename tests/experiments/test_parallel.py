@@ -56,7 +56,7 @@ class TestRunManyValidation:
         ctx = ExperimentContext(CFG)
         results = run_many(["T1"], ctx, jobs=1)
         assert results[0].experiment_id == "T1"
-        assert "trace" in ctx.__dict__  # computed here, not in a worker
+        assert "columnar" in ctx.__dict__  # synthesized here, not in a worker
 
 
 class TestEffectiveJobs:

@@ -1,8 +1,9 @@
 """Stream-mode contexts: same experiments, same rows, bounded memory.
 
-``ExperimentContext(stream=True)`` swaps whole-trace arrays for the
-sharded synthesis + single-pass reducers; every experiment -- the
-streaming-aware ones and the ``columnar``-fallback ones alike -- must
+Every context reads the Table 2-3, Figure 1-11, C1 and Appendix-fit
+products from the single-pass reducers; ``ExperimentContext(stream=True)``
+only moves the trace into on-disk shards.  Every experiment -- the
+reducer-fed ones and the record-view ones (X1-X4, G1) alike -- must
 return results identical to the in-memory context under the same
 config (``shard_days`` included: the shard layout is part of the trace
 identity, so both sides here carry it).
@@ -12,17 +13,18 @@ import math
 
 import pytest
 
-from repro.experiments import ExperimentContext, run_many
+from repro.experiments import ALL_EXPERIMENTS, ExperimentContext, run_experiment, run_many
 from repro.synthesis import SynthesisConfig, TraceCache
 
 CFG = SynthesisConfig(
     days=0.2, mean_arrival_rate=0.3, seed=20040315, shard_days=0.05
 )
 
-#: Streaming-aware families (tables, geography, passive, active,
-#: correlations, popularity) plus ``G1``, which has no streaming branch
-#: and exercises the transparent concat fallback.
-IDS = ["T2", "F1", "F4", "F6", "F8", "C1", "F10", "G1"]
+IDS = list(ALL_EXPERIMENTS)
+
+#: The experiments fed entirely by the streaming pass.
+REDUCER_FED = ["T2", "T3", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8",
+               "F9", "F10", "F11", "C1", "TA1"]
 
 
 def _rows_equal(a, b):
@@ -94,5 +96,23 @@ class TestStreamContextViews:
         ctx = ExperimentContext(CFG, stream=True)
         assert ctx.views == ExperimentContext(CFG).views
         # The streamed context never built the whole-trace filter result.
-        assert "cfiltered" not in ctx.__dict__
         assert "filtered" not in ctx.__dict__
+
+    def test_in_memory_context_builds_no_record_views(self):
+        # One analysis path: an in-memory context folds its columnar
+        # trace through the reducers as one chunk, never via records.
+        ctx = ExperimentContext(CFG)
+        for experiment_id in REDUCER_FED:
+            run_experiment(experiment_id, ctx)
+        assert "streaming" in ctx.__dict__
+        assert "filtered" not in ctx.__dict__
+        assert "trace" not in ctx.__dict__
+
+    def test_stream_figures_never_concatenate_the_shards(self):
+        from repro.viz.figures import _BUILDERS, _fig_extensions
+
+        ctx = ExperimentContext(CFG, stream=True)
+        for builder in _BUILDERS:
+            if builder is not _fig_extensions:
+                builder(ctx)
+        assert "columnar" not in ctx.__dict__

@@ -1,19 +1,16 @@
 """Streaming rules 1-5: chunked filtering equals the one-shot pipeline.
 
-Two adversarial inputs: shards from sharded synthesis (sessions whole,
-one shard per window) and ``split_for_streaming`` chunks (sessions cut
-mid-lifetime at arbitrary boundaries, ``split_sessions=True``).  Either
-way the accumulated Table 2 report -- and the kept/eligible query sets
--- must be bit-identical to ``apply_filters_columnar`` on the whole
-trace.
+Shards from sharded synthesis hold whole sessions, one shard per
+window; the accumulated Table 2 report -- and the kept/eligible query
+sets -- must be bit-identical to ``apply_filters_columnar`` on the
+whole trace, and a single in-memory chunk must degenerate to it.
 """
 
 import numpy as np
 import pytest
 
 from repro.filtering import apply_filters_columnar
-from repro.filtering.streaming import StreamingFilter, split_for_streaming
-from repro.measurement import ColumnarTrace
+from repro.filtering.streaming import StreamingFilter
 from repro.synthesis import SynthesisConfig, TraceSynthesizer
 
 
@@ -61,23 +58,6 @@ class TestShardedInput:
         blocks = drain(filt, sharded.iter_shards())
         gaps = np.concatenate([b.interarrival_times() for b in blocks])
         assert np.array_equal(gaps, reference.interarrival_times())
-
-
-class TestSplitSessionInput:
-    def test_mid_session_cuts_reproduce_the_report(self, reference):
-        trace = reference.trace
-        cuts = [trace.end_time * f for f in (0.21, 0.5, 0.53, 0.9)]
-        filt = StreamingFilter(split_sessions=True)
-        drain(filt, split_for_streaming(trace, cuts))
-        assert filt.report.as_dict() == reference.report.as_dict()
-
-    def test_empty_chunks_are_harmless(self, reference):
-        trace = reference.trace
-        # Duplicate cuts produce zero-width, zero-session chunks.
-        cuts = [100.0, 100.0, trace.end_time - 1.0]
-        filt = StreamingFilter(split_sessions=True)
-        drain(filt, split_for_streaming(trace, cuts))
-        assert filt.report.as_dict() == reference.report.as_dict()
 
 
 def test_single_chunk_degenerates_to_one_shot(reference):

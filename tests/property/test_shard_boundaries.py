@@ -1,23 +1,26 @@
 """Property: shard boundaries are invisible to the streamed results.
 
-Satellite of the out-of-core pipeline PR.  Two generators of adversity:
+Two generators of adversity:
 
-* ``split_for_streaming`` with hypothesis-drawn cut positions slices a
-  trace mid-session, so sessions (and the interarrival gaps inside
-  them) span chunk edges; ``StreamingFilter(split_sessions=True)`` must
-  reassemble them exactly.
+* hypothesis-drawn cuts slice a trace into consecutive chunks of whole
+  sessions (duplicate cuts give empty chunks).  Every chunking must
+  reproduce the one-chunk pass an in-memory context runs, exactly and
+  in order -- which is what lets that pass stand in for the sharded one.
 * ``run_sharded`` with awkward (non-dividing) shard widths must stay
   byte-identical to ``run_columnar`` under the same config -- the shard
   window layout is part of the trace identity, never a perturbation.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import run_streaming
 from repro.filtering import apply_filters_columnar
+from repro.filtering.streaming import StreamingFilter
 from repro.measurement import ColumnarTrace
 from repro.synthesis import SynthesisConfig, TraceSynthesizer
 
@@ -32,7 +35,7 @@ cut_fractions = st.lists(
 def columnar():
     # Dedicated small trace: each hypothesis example re-filters it, so
     # it must be an order of magnitude lighter than the shared one-day
-    # fixture while still holding thousands of cross-cut sessions.
+    # fixture while still holding thousands of sessions.
     config = SynthesisConfig(days=0.25, mean_arrival_rate=0.15, seed=97531)
     return TraceSynthesizer(config).run_columnar()
 
@@ -42,62 +45,71 @@ def reference(columnar):
     return run_streaming([columnar])
 
 
+def session_chunks(trace, fractions):
+    """Consecutive chunks of whole sessions, cut at the given fractions
+    of the session rows; PONG/QUERYHIT rows are cut at the same fractions."""
+    n = trace.n_sessions
+    bounds = [0, *sorted(int(f * n) for f in fractions), n]
+    offsets = trace.query_offsets
+    for lo, hi in zip(bounds, bounds[1:]):
+        fields = {}
+        for field in dataclasses.fields(ColumnarTrace):
+            value = getattr(trace, field.name)
+            if field.name == "query_offsets":
+                fields[field.name] = offsets[lo:hi + 1] - offsets[lo]
+            elif field.name.startswith("session_"):
+                fields[field.name] = value[lo:hi]
+            elif field.name.startswith("query_"):
+                fields[field.name] = value[offsets[lo]:offsets[hi]]
+            elif field.name.startswith(("pong_", "hit_")):
+                m = value.shape[0]
+                fields[field.name] = value[m * lo // n:m * hi // n]
+        yield ColumnarTrace(start_time=trace.start_time, end_time=trace.end_time, **fields)
+
+
 @given(fractions=cut_fractions)
+@example(fractions=[0.5, 0.5])
 @settings(max_examples=15, deadline=None)
 def test_sessions_and_interarrivals_survive_random_cuts(
     columnar, reference, fractions
 ):
-    from repro.filtering.streaming import split_for_streaming
-
-    cuts = [columnar.end_time * f for f in fractions]
-    streamed = run_streaming(
-        split_for_streaming(columnar, cuts), split_sessions=True
-    )
+    streamed = run_streaming(session_chunks(columnar, fractions))
     assert streamed.report.as_dict() == reference.report.as_dict()
     # ActiveSession equality is the strong form: per-session query
     # counts, first/last gap measures, AND the full interarrival tuple
-    # of every session that was cut apart must come back identical.
-    # Reassembled sessions surface in completion order, so compare as
-    # a multiset -- every figure product is order-insensitive.
-    key = lambda v: (v.start, v.duration, v.n_queries, v.interarrivals)  # noqa: E731
-    assert sorted(streamed.active.views(), key=key) == sorted(
-        reference.active.views(), key=key
-    )
+    # of every session, in trace order.
+    assert streamed.active.views() == reference.active.views()
     for region, ccdf in reference.active.interarrival_ccdf().items():
         got = streamed.active.interarrival_ccdf()[region]
         assert np.array_equal(got.x, ccdf.x)
         assert np.array_equal(got.fraction, ccdf.fraction)
+    assert np.array_equal(streamed.passive.duration, reference.passive.duration)
+    assert streamed.daily == reference.daily
+    for region, profile in reference.load.items():
+        assert np.array_equal(streamed.load[region].average, profile.average)
+    for region in reference.geographic.all_peers:
+        assert np.array_equal(
+            streamed.geographic.all_peers[region], reference.geographic.all_peers[region]
+        )
 
 
 @given(fractions=cut_fractions)
 @settings(max_examples=15, deadline=None)
-def test_eligible_gap_stream_is_cut_invariant(columnar, reference, fractions):
-    from repro.filtering.streaming import StreamingFilter, split_for_streaming
-
-    cuts = [columnar.end_time * f for f in fractions]
-    filt = StreamingFilter(split_sessions=True)
-    gaps = []
-    for chunk in split_for_streaming(columnar, cuts):
-        block = filt.push(chunk)
-        if block is not None:
-            gaps.append(block.interarrival_times())
-    tail = filt.finish()
-    if tail is not None:
-        gaps.append(tail.interarrival_times())
+def test_eligible_gap_stream_is_cut_invariant(columnar, fractions):
+    filt = StreamingFilter()
+    gaps = [
+        filt.push(chunk).interarrival_times()
+        for chunk in session_chunks(columnar, fractions)
+    ]
     expected = apply_filters_columnar(columnar).interarrival_times()
-    # Blocks emit reassembled sessions in completion order, so the flat
-    # gap stream is a permutation of the one-shot stream; the values
-    # feeding the Figure 8 CCDF must match exactly as a multiset.
-    got = np.concatenate(gaps)
-    assert got.shape == expected.shape
-    assert np.array_equal(np.sort(got), np.sort(expected))
+    # Whole-session chunks keep every session's gaps together, so the
+    # flat gap stream feeding the Figure 8 CCDF matches in order.
+    assert np.array_equal(np.concatenate(gaps), expected)
 
 
 @pytest.mark.parametrize("shard_days", [0.07, 0.13, 0.4])
 def test_awkward_shard_widths_match_in_memory_run(tmp_path, shard_days):
     # 0.07 / 0.13 leave a partial final window; 0.4 is a single shard.
-    import dataclasses
-
     config = SynthesisConfig(
         days=0.4, mean_arrival_rate=0.25, seed=31337, shard_days=shard_days
     )

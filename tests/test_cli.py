@@ -192,6 +192,24 @@ class TestStreamFlags:
         assert args.stream and args.shard_hours == 6.0
         assert args.max_rss_mb == 512.0
 
+    @pytest.mark.parametrize("command", ["synthesize", "experiment", "figures"])
+    def test_stream_rejects_the_event_backend(self, command, capsys):
+        # Only the columnar engine spills shards: a usage error, not a
+        # traceback from run_sharded().
+        argv = [command, *(["T2"] if command == "experiment" else []),
+                "--stream", "--backend", "event", "--days", "0.02", "--no-cache"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--stream requires the columnar backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hours", ["0", "-6", "nan"])
+    def test_shard_hours_must_be_positive(self, hours, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["experiment", "T2", "--stream", "--shard-hours", hours])
+        assert exc.value.code == 2
+        assert "--shard-hours: must be a positive number" in capsys.readouterr().err
+
 
 class TestStreamCommands:
     def test_synthesize_stream_reports_shards(self, tmp_path, capsys):
