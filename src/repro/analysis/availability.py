@@ -13,7 +13,7 @@ measures from the trace:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -58,20 +58,19 @@ def churn_by_hour(
     """
     if not sessions:
         raise ValueError("no sessions")
+    starts = np.fromiter((s.start for s in sessions), np.float64, len(sessions))
+    ends = np.fromiter((s.end for s in sessions), np.float64, len(sessions))
+    departed = ends[ends < end_time]
     arrivals = TimeOfDayBinner()
+    arrivals.add_array(starts)
     departures = TimeOfDayBinner()
-    total_departures = 0
-    for session in sessions:
-        arrivals.add(session.start)
-        if session.end < end_time:
-            departures.add(session.end)
-            total_departures += 1
+    departures.add_array(departed)
     return ChurnProfile(
         bin_hours=arrivals.bin_starts_hours(),
         arrivals=arrivals.average(),
-        departures=departures.average() if total_departures else np.zeros(24),
+        departures=departures.average() if departed.size else np.zeros(24),
         total_arrivals=len(sessions),
-        total_departures=total_departures,
+        total_departures=int(departed.size),
     )
 
 
@@ -80,31 +79,24 @@ def concurrency_curve(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(times, online_count): concurrent one-hop connections over the trace.
 
-    Computed by sweeping session start/end events, sampled every
-    ``step_seconds`` -- the "up to 200 connections" load curve of the
+    Computed by counting session starts and ends up to each sample time,
+    sampled every ``step_seconds`` -- the "up to 200 connections" load curve of the
     measurement node.
     """
     if not sessions:
         raise ValueError("no sessions")
     if step_seconds <= 0:
         raise ValueError("step_seconds must be positive")
-    events: List[Tuple[float, int]] = []
-    for session in sessions:
-        events.append((session.start, +1))
-        events.append((session.end, -1))
-    events.sort()
-    t_start = events[0][0]
-    t_end = events[-1][0]
+    starts = np.sort(np.fromiter((s.start for s in sessions), np.float64, len(sessions)))
+    ends = np.sort(np.fromiter((s.end for s in sessions), np.float64, len(sessions)))
+    t_start = min(starts[0], ends[0])
+    t_end = max(starts[-1], ends[-1])
     times = np.arange(t_start, t_end + step_seconds, step_seconds)
-    counts = np.zeros_like(times)
-    level = 0
-    index = 0
-    for slot, t in enumerate(times):
-        while index < len(events) and events[index][0] <= t:
-            level += events[index][1]
-            index += 1
-        counts[slot] = level
-    return times, counts
+    # Online at t: sessions started at or before t minus those ended by t.
+    online = np.searchsorted(starts, times, side="right") - np.searchsorted(
+        ends, times, side="right"
+    )
+    return times, online.astype(np.float64)
 
 
 def aggregate_availability(

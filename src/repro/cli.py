@@ -201,10 +201,13 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stream", action="store_true",
                         help="out-of-core pipeline: synthesize into time-ordered "
                              "shards on disk and analyze them one at a time "
-                             "(bounded memory; identical output)")
-    parser.add_argument("--shard-hours", type=_positive_float, default=24.0, metavar="H",
-                        help="shard width for --stream, in trace hours "
-                             "(default: 24, one shard per day)")
+                             "(bounded memory; output identical to an in-memory "
+                             "run with the same --shard-hours)")
+    parser.add_argument("--shard-hours", type=_positive_float, default=None, metavar="H",
+                        help="synthesis shard width in trace hours; the shard "
+                             "layout is part of the trace identity, so it applies "
+                             "with or without --stream (default: 24 with --stream, "
+                             "else one window)")
     parser.add_argument("--max-rss-mb", type=float, metavar="MB",
                         help="fail (exit 3) if the process's peak resident set "
                              "exceeds this many MiB")
@@ -225,8 +228,11 @@ def _scale_config(args):
     backend = getattr(args, "backend", None)
     if backend is not None:
         config = replace(config, backend=backend)
-    if getattr(args, "stream", False):
-        config = replace(config, shard_days=args.shard_hours / 24.0)
+    shard_hours = getattr(args, "shard_hours", None)
+    if shard_hours is None and getattr(args, "stream", False):
+        shard_hours = 24.0
+    if shard_hours is not None:
+        config = replace(config, shard_days=shard_hours / 24.0)
     return config
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +38,8 @@ __all__ = [
     "Truncated",
     "Spliced",
     "Empirical",
+    "layout_ppf",
+    "ppf_layout",
 ]
 
 
@@ -64,20 +66,6 @@ class Distribution(ABC):
         """Draw samples via inverse-CDF on uniforms from ``rng``."""
         u = rng.random(size)
         return self.ppf(u)
-
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw exactly ``n`` samples as a flat float64 array.
-
-        The bulk-sampling entry point of the vectorized generator
-        backends, delegating to
-        :func:`repro.core.kernels.distribution_sample_n`: one uniform
-        batch, one vectorized ``ppf`` pass, always an array (``sample``
-        returns a scalar for ``size=None`` and whatever shape ``ppf``
-        preserves otherwise).
-        """
-        from .kernels import distribution_sample_n
-
-        return distribution_sample_n(self, rng, n)
 
     def mean(self) -> float:
         """Analytic mean; subclasses without a closed form raise."""
@@ -109,9 +97,7 @@ class Lognormal(Distribution):
         return out if out.shape else float(out)
 
     def ppf(self, q):
-        q = _as_array(q)
-        z = _norm_ppf_vec(q)
-        out = np.exp(self.mu + self.sigma * z)
+        out = _lognormal_ppf(_as_array(q), self.mu, self.sigma)
         return out if out.shape else float(out)
 
     def pdf(self, x):
@@ -157,8 +143,7 @@ class Weibull(Distribution):
         return out if out.shape else float(out)
 
     def ppf(self, q):
-        q = _as_array(q)
-        out = (-np.log1p(-q) / self.lam) ** (1.0 / self.alpha)
+        out = _weibull_ppf(_as_array(q), self.alpha, self.lam)
         return out if out.shape else float(out)
 
     def pdf(self, x):
@@ -196,8 +181,7 @@ class Pareto(Distribution):
         return out if out.shape else float(out)
 
     def ppf(self, q):
-        q = _as_array(q)
-        out = self.beta * (1.0 - q) ** (-1.0 / self.alpha)
+        out = _pareto_ppf(_as_array(q), self.alpha, self.beta)
         return out if out.shape else float(out)
 
     def pdf(self, x):
@@ -340,10 +324,14 @@ class Truncated(Distribution):
         return raw if raw.shape else float(raw)
 
     def ppf(self, q):
-        q = _as_array(q)
-        out = self.base.ppf(self._cdf_low + q * self._mass)
-        out = np.clip(out, self.low, self.high if math.isfinite(self.high) else np.inf)
+        out = _truncated_ppf(
+            _as_array(q), self.base.ppf, self._cdf_low, self._mass, self.low, self._ppf_high
+        )
         return out if out.shape else float(out)
+
+    @property
+    def _ppf_high(self) -> float:
+        return self.high if math.isfinite(self.high) else np.inf
 
     def __repr__(self):
         return f"Truncated({self.base!r}, ({self.low:.4g}, {self.high:.4g}])"
@@ -387,11 +375,7 @@ class Spliced(Distribution):
         return out if out.shape else float(out)
 
     def ppf(self, q):
-        q = _as_array(q)
-        in_body = q <= self.body_weight
-        qb = np.clip(q / self.body_weight, 0.0, 1.0)
-        qt = np.clip((q - self.body_weight) / (1.0 - self.body_weight), 0.0, 1.0)
-        out = np.where(in_body, self.body.ppf(qb), self.tail.ppf(qt))
+        out = _spliced_ppf(_as_array(q), self.body_weight, self.body.ppf, self.tail.ppf)
         return out if out.shape else float(out)
 
     def __repr__(self):
@@ -426,6 +410,125 @@ class Empirical(Distribution):
 
     def __repr__(self):
         return f"Empirical(n={self.data.size})"
+
+
+# ---------------------------------------------------------------------------
+# Inverse-CDF formulas
+# ---------------------------------------------------------------------------
+#
+# One formula per family, called both by the scalar ``ppf`` methods above
+# and, with per-element parameter arrays, by
+# :class:`repro.core.kernels.DistributionStack`.  Elementwise IEEE
+# arithmetic gives the same bits whether a parameter is a scalar or an
+# array aligned with ``q``; the one exception is ``**``, see ``_power``.
+
+#: Exponents NumPy evaluates with reciprocal, sqrt and square when the
+#: exponent is a scalar.  An exponent *array* takes the general ``pow``
+#: loop, which can differ from those in the last bit.  (NumPy's other
+#: scalar shortcuts, 0 and 1, are exact either way.)
+_SCALAR_POWER_EXPONENTS = (-1.0, 0.5, 2.0)
+
+
+def _power(base, exponent):
+    """``base ** exponent`` with the bits of a scalar exponent per element."""
+    out = base ** exponent
+    if np.ndim(exponent):
+        for special in _SCALAR_POWER_EXPONENTS:
+            hit = exponent == special
+            if hit.any():
+                out[hit] = base[hit] ** special
+    return out
+
+
+def _lognormal_ppf(q, mu, sigma):
+    return np.exp(mu + sigma * _norm_ppf_vec(q))
+
+
+def _weibull_ppf(q, alpha, lam):
+    return _power(-np.log1p(-q) / lam, 1.0 / alpha)
+
+
+def _pareto_ppf(q, alpha, beta):
+    return beta * _power(1.0 - q, -1.0 / alpha)
+
+
+def _truncated_ppf(q, base_ppf, cdf_low, mass, low, high):
+    return np.clip(base_ppf(cdf_low + q * mass), low, high)
+
+
+def _spliced_ppf(q, body_weight, body_ppf, tail_ppf):
+    in_body = q <= body_weight
+    qb = np.clip(q / body_weight, 0.0, 1.0)
+    qt = np.clip((q - body_weight) / (1.0 - body_weight), 0.0, 1.0)
+    return np.where(in_body, body_ppf(qb), tail_ppf(qt))
+
+
+#: Leaf families with a stackable formula: class -> (parameter
+#: attributes in formula order, formula).
+_LEAF_FORMULAS = {
+    Lognormal: (("mu", "sigma"), _lognormal_ppf),
+    Weibull: (("alpha", "lam"), _weibull_ppf),
+    Pareto: (("alpha", "beta"), _pareto_ppf),
+}
+
+
+def ppf_layout(dist) -> Optional[Tuple[object, Tuple[float, ...]]]:
+    """Flatten a distribution into ``(structure, parameters)`` for stacking.
+
+    ``structure`` is a hashable tree of family classes (``Lognormal``,
+    ``(Truncated, base)``, ``(Spliced, body, tail)``); ``parameters``
+    are the floats its formulas read, in tree order.  Two distributions
+    with the same structure differ only in parameters, so one
+    :func:`layout_ppf` pass evaluates both.  Returns None for families
+    and compositions without a shared formula (``Empirical``,
+    ``Exponential``, subclasses, ...).
+    """
+    kind = type(dist)
+    if kind in _LEAF_FORMULAS:
+        return kind, tuple(getattr(dist, attr) for attr in _LEAF_FORMULAS[kind][0])
+    if kind is Truncated:
+        base = ppf_layout(dist.base)
+        if base is None:
+            return None
+        own = (dist._cdf_low, dist._mass, dist.low, dist._ppf_high)
+        return (Truncated, base[0]), own + base[1]
+    if kind is Spliced:
+        body, tail = ppf_layout(dist.body), ppf_layout(dist.tail)
+        if body is None or tail is None:
+            return None
+        return (Spliced, body[0], tail[0]), (dist.body_weight,) + body[1] + tail[1]
+    return None
+
+
+def _layout_width(structure) -> int:
+    if structure in _LEAF_FORMULAS:
+        return len(_LEAF_FORMULAS[structure][0])
+    if structure[0] is Truncated:
+        return 4 + _layout_width(structure[1])
+    return 1 + _layout_width(structure[1]) + _layout_width(structure[2])
+
+
+def layout_ppf(structure, q, params: Sequence):
+    """Evaluate the ppf of a :func:`ppf_layout` structure at ``q``.
+
+    ``params`` holds one entry per layout parameter, each a scalar or
+    an array aligned with ``q``; the result equals, element for element,
+    the scalar ``ppf`` of the distribution those parameters describe.
+    """
+    if structure in _LEAF_FORMULAS:
+        return _LEAF_FORMULAS[structure][1](q, *params)
+    if structure[0] is Truncated:
+        cdf_low, mass, low, high = params[:4]
+        return _truncated_ppf(
+            q, lambda x: layout_ppf(structure[1], x, params[4:]), cdf_low, mass, low, high
+        )
+    split = 1 + _layout_width(structure[1])
+    return _spliced_ppf(
+        q,
+        params[0],
+        lambda x: layout_ppf(structure[1], x, params[1:split]),
+        lambda x: layout_ppf(structure[2], x, params[split:]),
+    )
 
 
 def _erf_vec(z):

@@ -80,7 +80,7 @@ def fit_lognormal_truncated(
     the published untruncated parameters.
     """
     from scipy.optimize import minimize
-    from scipy.stats import norm
+    from scipy.special import ndtr  # the standard normal CDF (what norm.cdf evaluates)
 
     x = _clean(data)
     if low > 0:
@@ -97,7 +97,7 @@ def fit_lognormal_truncated(
         mu, log_sigma = params
         sigma = math.exp(log_sigma)
         z = (logs - mu) / sigma
-        mass = norm.cdf((log_high - mu) / sigma) - norm.cdf((log_low - mu) / sigma)
+        mass = ndtr((log_high - mu) / sigma) - ndtr((log_low - mu) / sigma)
         if mass <= 1e-12:
             return 1e12
         # Lognormal density in log space: drop the constant log(x) term.

@@ -19,8 +19,10 @@ one full session for every slot still inside the window, advances all
 slot clocks by the sampled durations in one vectorized step, and drops
 slots whose clocks passed the window end.  The number of waves equals
 the longest per-slot session chain; every wave is a handful of batched
-RNG draws grouped by the model's conditioning keys, visited in fixed
-(region, peak, class) order so output is deterministic for a seed.
+RNG draws, one per draw site: a :class:`DistributionStack` per grid
+table inverts one uniform batch through all of the site's conditional
+distributions at once, handing uniforms out in (region, peak, class)
+key order so output is deterministic for a seed.
 
 Sharding
 --------
@@ -59,6 +61,7 @@ import numpy as np
 from .events import GeneratedQuery, GeneratedSession
 from .kernels import (
     CategoricalTableStack,
+    DistributionStack,
     group_slices,
     pool_map,
     resolve_workers,
@@ -127,24 +130,36 @@ def major_region_cum(model: WorkloadModel) -> np.ndarray:
     return cum
 
 
+def _grid_stack(table: dict) -> DistributionStack:
+    """Stack a complete grid table in encoded-key order.
+
+    Sorted ``(region, peak, class)`` tuples (``False < True``) enumerate
+    the codes ``(region * 2 + peak) * 3 + class`` in ascending order.
+    """
+    return DistributionStack([table[key] for key in sorted(table)])
+
+
 @dataclass
 class GeneratorTables:
     """Picklable snapshot of everything a generation shard samples from.
 
-    Distribution objects (not the model's factory callables) plus the
-    precomputed per-hour tables, so shards work for fitted models whose
-    factories are unpicklable closures.  Grid keys use integer codes --
-    see :meth:`WorkloadModel.conditional_grid`.
+    One :class:`DistributionStack` per grid table of
+    :meth:`WorkloadModel.conditional_grid` (distribution objects and
+    parameter arrays, not the model's factory callables, so shards work
+    for fitted models whose factories are unpicklable closures) plus the
+    precomputed per-hour tables.  Stack rows are the encoded grid keys:
+    ``region``, ``region * 2 + peak`` and ``(region * 2 + peak) * 3 +
+    class``.
     """
 
     region_cum: np.ndarray                    # (24, 3) cumulative Fig. 1 mix
     passive_prob: np.ndarray                  # (3, 24) Fig. 4 passive fraction
     peak: np.ndarray                          # (3, 24) peak-hour flags
-    queries_per_session: dict                 # region -> Distribution
-    passive_duration: dict                    # (region, peak) -> Distribution
-    first_query: dict                         # (region, peak, class) -> Distribution
-    interarrival: dict
-    last_query: dict
+    queries_per_session: DistributionStack    # rows: region
+    passive_duration: DistributionStack       # rows: region * 2 + peak
+    first_query: DistributionStack            # rows: (region * 2 + peak) * 3 + class
+    interarrival: DistributionStack
+    last_query: DistributionStack
     sampler: ClassRankSampler
     #: O(1) per-hour region draw table over ``region_cum`` (built lazily
     #: so unpickled snapshots from older callers keep working).
@@ -169,11 +184,11 @@ class GeneratorTables:
             region_cum=region_cum,
             passive_prob=passive_prob,
             peak=_PEAK_TABLE.copy(),
-            queries_per_session=grid["queries_per_session"],
-            passive_duration=grid["passive_duration"],
-            first_query=grid["first_query"],
-            interarrival=grid["interarrival"],
-            last_query=grid["last_query"],
+            queries_per_session=_grid_stack(grid["queries_per_session"]),
+            passive_duration=_grid_stack(grid["passive_duration"]),
+            first_query=_grid_stack(grid["first_query"]),
+            interarrival=_grid_stack(grid["interarrival"]),
+            last_query=_grid_stack(grid["last_query"]),
             sampler=universe.batch_sampler(),
             region_table=CategoricalTableStack(region_cum),
         )
@@ -341,26 +356,6 @@ class ColumnarWorkload:
 # ---------------------------------------------------------------------------
 
 
-def _draw_grouped(rng, table, keys, size: int, cap: float) -> np.ndarray:
-    """Bulk draws from ``table[(region, peak, class)]`` per encoded key.
-
-    ``keys`` encodes ``(region * 2 + peak) * 3 + class``; groups are
-    visited in ascending key order (the :func:`group_slices` contract)
-    so RNG consumption is deterministic.  Samples are clamped to
-    ``[0, cap]`` like the scalar ``_bounded``.
-    """
-    out = np.empty(size, dtype=np.float64)
-    order, group_keys, bounds = group_slices(keys)
-    for g in range(group_keys.size):
-        key = int(group_keys[g])
-        idx = order[bounds[g]:bounds[g + 1]]
-        rc, rem = divmod(key, 6)
-        pk, ci = divmod(rem, 3)
-        draws = table[rc, bool(pk), ci].sample_n(rng, idx.size)
-        out[idx] = np.clip(draws, 0.0, cap)
-    return out
-
-
 def _generate_shard(
     tables: GeneratorTables,
     n_slots: int,
@@ -397,14 +392,12 @@ def _generate_shard(
         durations = np.empty(n, dtype=np.float64)
 
         # Step 3: passive connected-session durations (Table A.1).
+        # Every stacked draw is clamped to [0, cap] like the scalar
+        # ``_bounded``.
         pas = np.nonzero(passive)[0]
         if pas.size:
-            order, keys, bounds = group_slices(region[pas] * 2 + peak[pas])
-            for g in range(keys.size):
-                rc, pk = divmod(int(keys[g]), 2)
-                idx = pas[order[bounds[g]:bounds[g + 1]]]
-                draws = tables.passive_duration[rc, bool(pk)].sample_n(rng, idx.size)
-                durations[idx] = np.clip(draws, 0.0, cap)
+            draws = tables.passive_duration.sample(rng, region[pas] * 2 + peak[pas])
+            durations[pas] = np.clip(draws, 0.0, cap)
 
         # Step 4: active sessions -- counts, offsets, identities.
         act = np.nonzero(~passive)[0]
@@ -413,18 +406,14 @@ def _generate_shard(
             pk_act = peak[act].astype(np.int64)
 
             # 4a: number of queries (ceil of the continuous lognormal).
-            nq = np.empty(act.size, dtype=np.int64)
-            order, keys, bounds = group_slices(r_act)
-            for g in range(keys.size):
-                idx = order[bounds[g]:bounds[g + 1]]
-                draws = tables.queries_per_session[int(keys[g])].sample_n(rng, idx.size)
-                nq[idx] = np.maximum(1, np.ceil(draws)).astype(np.int64)
+            draws = tables.queries_per_session.sample(rng, r_act)
+            nq = np.maximum(1, np.ceil(draws)).astype(np.int64)
 
             base_key = (r_act * 2 + pk_act) * 3
             # 4b: time until the first query.
-            t_first = _draw_grouped(
-                rng, tables.first_query, base_key + first_query_class_codes(nq),
-                act.size, cap,
+            t_first = np.clip(
+                tables.first_query.sample(rng, base_key + first_query_class_codes(nq)),
+                0.0, cap,
             )
             # 4c(i): interarrival gaps, flat over all sessions' queries.
             gap_counts = nq - 1
@@ -433,15 +422,13 @@ def _generate_shard(
                 gap_keys = np.repeat(
                     base_key + interarrival_class_codes(nq), gap_counts
                 )
-                gaps = _draw_grouped(
-                    rng, tables.interarrival, gap_keys, total_gaps, cap
-                )
+                gaps = np.clip(tables.interarrival.sample(rng, gap_keys), 0.0, cap)
             else:
                 gaps = np.zeros(0, dtype=np.float64)
             # 4d: time after the last query.
-            t_after = _draw_grouped(
-                rng, tables.last_query, base_key + last_query_class_codes(nq),
-                act.size, cap,
+            t_after = np.clip(
+                tables.last_query.sample(rng, base_key + last_query_class_codes(nq)),
+                0.0, cap,
             )
 
             gap_cum = segmented_cumsum(gaps, gap_counts)

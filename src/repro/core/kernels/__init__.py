@@ -5,8 +5,8 @@ Every columnar engine in this repository -- trace synthesis
 generator (:mod:`repro.core.generator_columnar`), and the vectorized
 filter rules (:mod:`repro.filtering.columnar`) -- is built from the
 same handful of array idioms: segmented (ragged/CSR) arithmetic,
-batched categorical draws against cumulative tables, batch distribution
-sampling, fixed shard planning with ``SeedSequence``-spawned RNG
+batched categorical draws against cumulative tables, stacked
+inverse-CDF draws, fixed shard planning with ``SeedSequence``-spawned RNG
 streams, worker-pool fan-out, and ``.npz`` round trips.  This package
 is the single home for those kernels; the engines import from here and
 the KER601 lint rule forbids re-implementing the raw idioms in engine
@@ -38,7 +38,7 @@ from .npz import load_npz_members, save_npz_payload
 from .sampling import (
     CategoricalTable,
     CategoricalTableStack,
-    distribution_sample_n,
+    DistributionStack,
     searchsorted_left,
 )
 from .segmented import (
@@ -72,7 +72,7 @@ __all__ = [
     "group_slices", "segment_ids", "segmented_arange", "segmented_cumsum",
     "segmented_offsets_base", "segmented_offsets_scatter",
     # sampling
-    "CategoricalTable", "CategoricalTableStack", "distribution_sample_n",
+    "CategoricalTable", "CategoricalTableStack", "DistributionStack",
     "searchsorted_left",
     # setops
     "isin_sorted", "merge_unique", "setdiff_sorted", "sorted_lookup",

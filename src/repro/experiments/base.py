@@ -104,8 +104,9 @@ class ExperimentContext:
     disk (:attr:`shards`) and folds them one at a time, in bounded
     memory; the default folds the in-memory :attr:`columnar` trace as a
     single chunk.  The record views (:attr:`trace`, :attr:`filtered`)
-    are built only for the experiments that still read records (X1-X4,
-    G1); in stream mode they come from the concatenated shards.
+    are built only for the experiments that still read records (X1-X4;
+    G1 reads only the seed and runs the generator); in stream mode they
+    come from the concatenated shards.
     ``shard_hours`` sets the shard window width (the config's
     ``shard_days`` drives both sharded synthesis and shard granularity).
     """

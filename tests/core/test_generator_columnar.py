@@ -6,6 +6,7 @@ plus hard guarantees of its own: byte-identical output across runs and
 worker counts, lossless round-trips to session objects and ``.npz``.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -112,6 +113,20 @@ def generator_ks_checks(reference, candidate):
     return checks
 
 
+#: SHA-256 of every column of the paper model at n_peers=2000, seed=7,
+#: one hour (``test_columns_match_committed_goldens``).
+GENERATOR_GOLDENS = {
+    "session_region": "51b203cdb479a1ad15462eac9f8b8c0c1f6036a8deb84d518db8b296b343c332",
+    "session_start": "eff5e42c6b3ec80bcd2580fbcc70200fb7c068a2007c731019d109e157f8f67e",
+    "session_duration": "ffeecd890a82dea263cd19f6936f247411a57f4cec025368928bfc348654f390",
+    "session_passive": "18be090fff1d49dbaaa1ac2567e3dc9634d191aaacaca041db903e06224dc2c2",
+    "query_session": "15bffd7c454160fab48ed0c00212db4eaa8d1e6a485aedc8faa9b0244db974ef",
+    "query_offset": "02b38104dcd3d001da88d4ddf89e752c95c55a77c6a6f8592252f6c14a127b30",
+    "query_rank": "a38379a9fd1835215f55f523c3ea7230f024d9e2aeb39c2b3fbe9012f120cc57",
+    "query_class": "d005d5568068a92c2141b6c1bcd75b5d159a05c2b2e9dda301321a7cd700893d",
+    "query_keywords": "465725459df9b7f38dec9a3c4c96a6695a08e979567dffba928f89a87f51013f",
+}
+
 
 @pytest.fixture(scope="module")
 def workload():
@@ -169,6 +184,21 @@ class TestDeterminism:
         gen_a = SyntheticWorkloadGenerator(n_peers=60, seed=21)
         gen_b = SyntheticWorkloadGenerator(n_peers=60, seed=22)
         assert not gen_a.generate_columnar(3600.0).equals(gen_b.generate_columnar(3600.0))
+
+    def test_columns_match_committed_goldens(self):
+        # Pins the generator's bytes across code versions (the tests
+        # above only compare two runs of the same code).  A change to
+        # any digest means a fixed seed now yields a different workload.
+        workload = generate_columnar_workload(
+            WorkloadModel.paper(), QueryUniverse(), n_peers=2000, seed=7,
+            duration_seconds=3600,
+        )
+        digests = {
+            name: hashlib.sha256(getattr(workload, name).tobytes()).hexdigest()
+            for name in workload.ARRAY_FIELDS
+        }
+        assert (workload.n_sessions, workload.n_queries) == (10898, 7368)
+        assert digests == GENERATOR_GOLDENS
 
     def test_jobs_do_not_change_output(self, monkeypatch):
         # Multi-shard run (n_peers > SLOTS_PER_SHARD); force the worker

@@ -3,8 +3,9 @@
 Every context reads the Table 2-3, Figure 1-11, C1 and Appendix-fit
 products from the single-pass reducers; ``ExperimentContext(stream=True)``
 only moves the trace into on-disk shards.  Every experiment -- the
-reducer-fed ones and the record-view ones (X1-X4, G1) alike -- must
-return results identical to the in-memory context under the same
+reducer-fed ones, the record-view ones (X1-X4) and G1, which runs the
+generator from the seed alone -- must return results identical to the
+in-memory context under the same
 config (``shard_days`` included: the shard layout is part of the trace
 identity, so both sides here carry it).
 """

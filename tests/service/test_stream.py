@@ -1,5 +1,7 @@
 """The deterministic frame source: identity, slicing, and round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,20 @@ class TestFrameSequence:
         first = [f for f, _ in source.frames()]
         second = [f for f, _ in source.frames()]
         assert first == second
+
+    def test_frames_match_committed_golden(self):
+        # Pins the served bytes across code versions: serve's window and
+        # frame sizing at 2000 peers, spanning more than one window.
+        config = StreamConfig(
+            n_peers=2000, seed=5, window_seconds=900.0, batch_sessions=2048,
+            n_frames=4,
+        )
+        digest = hashlib.sha256()
+        for frame, _ in WorkloadFrameSource(config).frames():
+            digest.update(frame)
+        assert digest.hexdigest() == (
+            "5e2667bf0965ba6f5bed6491b7bf9fea161686146add3e90489f6ab865743895"
+        )
 
     def test_jobs_do_not_change_bytes(self):
         pooled = StreamConfig(

@@ -181,8 +181,20 @@ class TestStreamFlags:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["synthesize"])
         assert args.stream is False
-        assert args.shard_hours == 24.0
+        assert args.shard_hours is None
         assert args.max_rss_mb is None
+
+    def test_shard_hours_sets_the_layout_in_both_modes(self):
+        from repro.cli import _scale_config
+
+        def shard_days(*flags):
+            args = build_parser().parse_args(["experiment", "T1", *flags])
+            return _scale_config(args).shard_days
+
+        assert shard_days() is None
+        assert shard_days("--stream") == 1.0  # one shard per trace day
+        assert shard_days("--shard-hours", "12") == 0.5
+        assert shard_days("--shard-hours", "12", "--stream") == 0.5
 
     def test_experiment_accepts_stream(self):
         args = build_parser().parse_args(
@@ -231,14 +243,24 @@ class TestStreamCommands:
         # memory; the concatenated trace must be byte-identical to the
         # single-file path under the same config (shard layout is part
         # of the trace identity, so the plain run gets the same windows
-        # via --stream's shard_days).
+        # from the same --shard-hours).
         streamed = tmp_path / "streamed.jsonl"
         direct = tmp_path / "direct.jsonl"
         base = ["--days", "0.1", "--shard-hours", "1.2", "--rate", "0.2",
                 "--seed", "5", "--no-cache"]
         assert main(["synthesize", "--stream", *base, "--out", str(streamed)]) == 0
-        assert main(["synthesize", "--stream", *base, "--out", str(direct)]) == 0
+        assert main(["synthesize", *base, "--out", str(direct)]) == 0
         assert streamed.read_bytes() == direct.read_bytes()
+
+    def test_experiment_shard_hours_without_stream_matches_stream(self, capsys):
+        # An explicit --shard-hours shapes the in-memory trace too, so the
+        # in-memory and streamed reducers see the same 2-shard trace.
+        base = ["experiment", "T1", "T2", "--days", "0.1", "--rate", "0.2",
+                "--seed", "5", "--no-cache", "--shard-hours", "1.2"]
+        assert main(base) == 0
+        in_memory = capsys.readouterr().out
+        assert main([*base, "--stream"]) == 0
+        assert capsys.readouterr().out == in_memory
 
     def test_experiment_stream_runs_and_orders_results(self, capsys):
         # Result parity with the in-memory context is pinned in

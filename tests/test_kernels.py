@@ -14,16 +14,28 @@ Three layers of defense for the ``repro.core.kernels`` contract:
 
 from __future__ import annotations
 
+import math
+import pickle
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.distributions import (
+    Empirical,
+    Exponential,
+    Lognormal,
+    Pareto,
+    Spliced,
+    Truncated,
+    Weibull,
+)
 from repro.core.kernels import (
     CategoricalTable,
     CategoricalTableStack,
+    DistributionStack,
     available_backends,
-    distribution_sample_n,
     get_backend,
     group_slices,
     isin_sorted,
@@ -308,15 +320,113 @@ def test_use_backend_scopes_and_keeps_results_identical():
     assert np.array_equal(segmented_arange(counts), reference)
 
 
-def test_distribution_sample_n_matches_scalar_loop():
-    from repro.core.distributions import Lognormal
+def per_group_draws(dists, rng, codes):
+    """The loop :class:`DistributionStack` replaces: one ``ppf`` per group,
+    groups in ascending code order, each on its own uniform batch."""
+    codes = np.asarray(codes)
+    out = np.empty(codes.size, dtype=np.float64)
+    for row in np.unique(codes):
+        idx = np.flatnonzero(codes == row)
+        out[idx] = dists[int(row)].ppf(rng.random(idx.size))
+    return out
 
-    dist = Lognormal(mu=1.0, sigma=0.5)
-    rng_a = np.random.default_rng(11)
-    rng_b = np.random.default_rng(11)
-    batch = distribution_sample_n(dist, rng_a, 40)
-    scalars = np.asarray(dist.sample(rng_b, size=40), dtype=np.float64)
-    assert np.array_equal(batch, scalars)
+
+def assert_stack_matches_loop(dists, codes, seed):
+    stack = DistributionStack(dists)
+    rng_loop, rng_stack, rng_pickled = (np.random.default_rng(seed) for _ in range(3))
+    with np.errstate(all="ignore"):
+        expected = per_group_draws(dists, rng_loop, codes)
+        got = stack.sample(rng_stack, codes)
+        pickled = pickle.loads(pickle.dumps(stack)).sample(rng_pickled, codes)
+    assert got.dtype == np.float64 and got.shape == (len(codes),)
+    assert got.tobytes() == expected.tobytes()
+    assert pickled.tobytes() == expected.tobytes()
+    # Both consumed exactly the same uniforms.
+    assert rng_stack.random() == rng_loop.random() == rng_pickled.random()
+
+
+# Weibull alpha 0.5/1/2 and Pareto alpha 1/2 make exponents (1/alpha,
+# -1/alpha) that NumPy evaluates with sqrt/square/reciprocal when the
+# exponent is a scalar, but not when it is an array.
+_weibull_alpha = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.3, 3.0)
+_pareto_alpha = st.sampled_from([1.0, 2.0]) | st.floats(0.5, 3.0)
+_leaves = {
+    "Lognormal": lambda d: Lognormal(d.draw(st.floats(-2.0, 8.0)), d.draw(st.floats(0.2, 3.0))),
+    "Weibull": lambda d: Weibull(d.draw(_weibull_alpha), d.draw(st.floats(1e-3, 0.5))),
+    "Pareto": lambda d: Pareto(d.draw(_pareto_alpha), d.draw(st.floats(1.0, 200.0))),
+}
+
+
+def _draw_row(data, kind, body, tail):
+    if kind == "leaf":
+        return _leaves[body](data)
+    if kind == "Truncated":
+        low = data.draw(st.sampled_from([0.0, 1.0, 30.0]))
+        high = data.draw(st.sampled_from([math.inf, 5000.0]))
+        return Truncated(_leaves[body](data), low, high)
+    if kind == "Spliced":
+        boundary = data.draw(st.floats(45.0, 150.0))
+        weight = data.draw(st.floats(0.05, 0.95))
+        body_low = data.draw(st.sampled_from([0.0, 10.0]))
+        return Spliced(_leaves[body](data), _leaves[tail](data), boundary, weight, body_low)
+    if kind == "Empirical":
+        return Empirical(data.draw(st.lists(st.floats(0.0, 1e4), min_size=1, max_size=8)))
+    return Exponential(data.draw(st.floats(1e-3, 2.0)))
+
+
+_kinds = st.sampled_from(["leaf", "Truncated", "Spliced"])
+_names = st.sampled_from(sorted(_leaves))
+
+
+@given(data=st.data(), n_rows=st.integers(1, 6), mixed=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_distribution_stack_matches_per_group_loop(data, n_rows, mixed, seed):
+    if mixed:  # any structure per row, incl. the per-row ppf fallback
+        shapes = [
+            (data.draw(_kinds | st.sampled_from(["Empirical", "Exponential"])),
+             data.draw(_names), data.draw(_names))
+            for _ in range(n_rows)
+        ]
+    else:  # one structure, per-row parameters: a grid table
+        shapes = [(data.draw(_kinds), data.draw(_names), data.draw(_names))] * n_rows
+    try:
+        dists = [_draw_row(data, *shape) for shape in shapes]
+    except ValueError:  # a truncation window without probability mass
+        assume(False)
+    # Codes may be empty, and leave some rows empty and others with a
+    # single element.
+    codes = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=0, max_size=200))
+    assert_stack_matches_loop(dists, np.asarray(codes, dtype=np.int64), seed)
+
+
+@pytest.mark.parametrize("dists", [
+    [Weibull(0.5, 0.01), Weibull(1.0, 0.01), Weibull(2.0, 0.01), Weibull(1.3, 0.01)],
+    [Pareto(1.0, 103.0), Pareto(2.0, 103.0), Pareto(1.2, 103.0)],
+    [Spliced(Lognormal(3.0, 1.4), Pareto(a, 103.0), 103.0, 0.8) for a in (1.0, 1.143, 2.0)],
+])
+def test_distribution_stack_keeps_scalar_power_fast_paths(dists):
+    # Thousands of draws per row: an array exponent takes NumPy's general
+    # pow loop, which differs from sqrt/square/reciprocal on ~10% of inputs.
+    codes = np.random.default_rng(1).integers(0, len(dists), 20000)
+    assert_stack_matches_loop(dists, codes, 5)
+
+
+def test_distribution_stack_serves_the_paper_grid():
+    # Every table of the paper model is one structure: no fallback rows.
+    from repro.core.generator_columnar import GeneratorTables
+    from repro.core.model import WorkloadModel
+    from repro.core.popularity import QueryUniverse
+
+    tables = GeneratorTables.from_model(WorkloadModel.paper(), QueryUniverse())
+    grid = WorkloadModel.paper().conditional_grid()
+    for name in ("queries_per_session", "passive_duration", "first_query",
+                 "interarrival", "last_query"):
+        stack = getattr(tables, name)
+        assert stack.n_rows == len(grid[name]) and not stack._fallback
+        dists = [grid[name][key] for key in sorted(grid[name])]
+        codes = np.random.default_rng(2).integers(0, stack.n_rows, 5000)
+        assert_stack_matches_loop(dists, codes, 9)
 
 
 # -- shard planning / pool fan-out ---------------------------------------
