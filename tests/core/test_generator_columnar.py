@@ -128,6 +128,29 @@ GENERATOR_GOLDENS = {
 }
 
 
+#: SHA-256 of every column of the paper model over three uneven shards
+#: (n_peers=2 * SLOTS_PER_SHARD + 1), seed=13, two hours from t=1800 s
+#: (``test_multi_shard_columns_match_committed_goldens``).
+MULTI_SHARD_GOLDENS = {
+    "session_region": "5206f6610b3bc35d9c11db92a18e70c9c6abada8c889451429227a35cb4b0267",
+    "session_start": "033ac543be3b02eef768706f9ead38f68a4e5cab2b38fa9cbe3957837da69351",
+    "session_duration": "f3dfa12599584e7e26f0337ffc460e8f5df9afa0e790d53acb9867bd3e6bdc0f",
+    "session_passive": "ee46c3de27217af5bcfc2224f1396e610406a76b7c46a71f46c1219e5143cc7f",
+    "query_session": "6eae98fe612b2f6802b49c47782618e40eee1790675c5d060d26d5c33bb155f4",
+    "query_offset": "ed79934202030e9f20f0821824e3e6fb081c15ffce97516797c697e68481c12c",
+    "query_rank": "db40b5690c51d4bd36f01c517f8cb95dde2d4edc93bc53180bf221c74c99d513",
+    "query_class": "5aa3c1d3b630f181f74fb03984f63f512e2e057c77d0167fc3844028ccc3100a",
+    "query_keywords": "8e234294eb166b952383cfda4a3b5ad2388206e69460c3931d0df261d198471f",
+}
+
+
+def _column_digests(workload):
+    return {
+        name: hashlib.sha256(getattr(workload, name).tobytes()).hexdigest()
+        for name in workload.ARRAY_FIELDS
+    }
+
+
 @pytest.fixture(scope="module")
 def workload():
     gen = SyntheticWorkloadGenerator(n_peers=120, seed=9)
@@ -193,12 +216,19 @@ class TestDeterminism:
             WorkloadModel.paper(), QueryUniverse(), n_peers=2000, seed=7,
             duration_seconds=3600,
         )
-        digests = {
-            name: hashlib.sha256(getattr(workload, name).tobytes()).hexdigest()
-            for name in workload.ARRAY_FIELDS
-        }
         assert (workload.n_sessions, workload.n_queries) == (10898, 7368)
-        assert digests == GENERATOR_GOLDENS
+        assert _column_digests(workload) == GENERATOR_GOLDENS
+
+    def test_multi_shard_columns_match_committed_goldens(self):
+        # The golden above is one shard; this one pins how three uneven
+        # shards (1366 + 1366 + 1365 slots) draw and merge.
+        workload = generate_columnar_workload(
+            WorkloadModel.paper(), QueryUniverse(),
+            n_peers=2 * SLOTS_PER_SHARD + 1, seed=13,
+            duration_seconds=7200, start_time=1800.0,
+        )
+        assert (workload.n_sessions, workload.n_queries) == (30309, 17713)
+        assert _column_digests(workload) == MULTI_SHARD_GOLDENS
 
     def test_jobs_do_not_change_output(self, monkeypatch):
         # Multi-shard run (n_peers > SLOTS_PER_SHARD); force the worker

@@ -110,6 +110,20 @@ class TestFrameSequence:
             "5e2667bf0965ba6f5bed6491b7bf9fea161686146add3e90489f6ab865743895"
         )
 
+    def test_multi_shard_frames_match_committed_golden(self):
+        # serve's window and frame sizing at 20k peers: ten generator
+        # shards per window, and 40 frames cross into the second window.
+        config = StreamConfig(
+            n_peers=20000, seed=3, window_seconds=900.0, batch_sessions=2048,
+            n_frames=40,
+        )
+        digest = hashlib.sha256()
+        for frame, _ in WorkloadFrameSource(config).frames():
+            digest.update(frame)
+        assert digest.hexdigest() == (
+            "db3ae553567cc56e028df5d15b88aec5a52987f73a402fc1568132ca16f01744"
+        )
+
     def test_jobs_do_not_change_bytes(self):
         pooled = StreamConfig(
             n_peers=CFG.n_peers, seed=CFG.seed, window_seconds=CFG.window_seconds,
