@@ -375,7 +375,12 @@ class Spliced(Distribution):
         return out if out.shape else float(out)
 
     def ppf(self, q):
-        out = _spliced_ppf(_as_array(q), self.body_weight, self.body.ppf, self.tail.ppf)
+        out = _spliced_ppf(
+            _as_array(q),
+            self.body_weight,
+            lambda x, _: self.body.ppf(x),
+            lambda x, _: self.tail.ppf(x),
+        )
         return out if out.shape else float(out)
 
     def __repr__(self):
@@ -456,11 +461,36 @@ def _truncated_ppf(q, base_ppf, cdf_low, mass, low, high):
     return np.clip(base_ppf(cdf_low + q * mass), low, high)
 
 
+def _select(param, sel):
+    """A per-element parameter at the elements ``sel`` selects."""
+    return param[sel] if np.ndim(param) else param
+
+
 def _spliced_ppf(q, body_weight, body_ppf, tail_ppf):
+    """Each element through its own branch only.
+
+    ``body_ppf(x, sel)`` and ``tail_ppf(x, sel)`` evaluate one branch at
+    the elements of ``q`` that ``sel`` selects; ``sel`` lets a branch
+    pick its per-element parameters to match.
+    """
     in_body = q <= body_weight
-    qb = np.clip(q / body_weight, 0.0, 1.0)
-    qt = np.clip((q - body_weight) / (1.0 - body_weight), 0.0, 1.0)
-    return np.where(in_body, body_ppf(qb), tail_ppf(qt))
+    if not q.ndim:
+        # Boolean indexing would make a one-element array, and NumPy's
+        # array ``pow`` loop can differ from its scalar one in the last bit.
+        if in_body:
+            out = body_ppf(np.clip(q / body_weight, 0.0, 1.0), None)
+        else:
+            out = tail_ppf(np.clip((q - body_weight) / (1.0 - body_weight), 0.0, 1.0), None)
+        return np.asarray(out, dtype=np.float64)
+    in_tail = ~in_body
+    out = np.empty(q.shape, dtype=np.float64)
+    weight = _select(body_weight, in_body)
+    out[in_body] = body_ppf(np.clip(q[in_body] / weight, 0.0, 1.0), in_body)
+    weight = _select(body_weight, in_tail)
+    out[in_tail] = tail_ppf(
+        np.clip((q[in_tail] - weight) / (1.0 - weight), 0.0, 1.0), in_tail
+    )
+    return out
 
 
 #: Leaf families with a stackable formula: class -> (parameter
@@ -508,26 +538,34 @@ def _layout_width(structure) -> int:
     return 1 + _layout_width(structure[1]) + _layout_width(structure[2])
 
 
-def layout_ppf(structure, q, params: Sequence):
+def _at(param, rows):
+    """A per-row parameter table read at ``rows`` (scalars pass through)."""
+    return param[rows] if isinstance(param, np.ndarray) else param
+
+
+def layout_ppf(structure, q, params: Sequence, rows: np.ndarray):
     """Evaluate the ppf of a :func:`ppf_layout` structure at ``q``.
 
-    ``params`` holds one entry per layout parameter, each a scalar or
-    an array aligned with ``q``; the result equals, element for element,
-    the scalar ``ppf`` of the distribution those parameters describe.
+    ``params`` holds one entry per layout parameter, each a scalar or a
+    per-row table; element ``i`` reads row ``rows[i]``.  The result
+    equals, element for element, the scalar ``ppf`` of the distribution
+    its row describes.  A ``Spliced`` evaluates each branch on its own
+    elements only, reading the tables there.
     """
     if structure in _LEAF_FORMULAS:
-        return _LEAF_FORMULAS[structure][1](q, *params)
+        return _LEAF_FORMULAS[structure][1](q, *(_at(p, rows) for p in params))
     if structure[0] is Truncated:
-        cdf_low, mass, low, high = params[:4]
+        cdf_low, mass, low, high = (_at(p, rows) for p in params[:4])
         return _truncated_ppf(
-            q, lambda x: layout_ppf(structure[1], x, params[4:]), cdf_low, mass, low, high
+            q, lambda x: layout_ppf(structure[1], x, params[4:], rows),
+            cdf_low, mass, low, high,
         )
     split = 1 + _layout_width(structure[1])
     return _spliced_ppf(
         q,
-        params[0],
-        lambda x: layout_ppf(structure[1], x, params[1:split]),
-        lambda x: layout_ppf(structure[2], x, params[split:]),
+        _at(params[0], rows),
+        lambda x, sel: layout_ppf(structure[1], x, params[1:split], rows[sel]),
+        lambda x, sel: layout_ppf(structure[2], x, params[split:], rows[sel]),
     )
 
 

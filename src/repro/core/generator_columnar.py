@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,10 +65,11 @@ from .kernels import (
     group_slices,
     pool_map,
     resolve_workers,
-    segmented_cumsum,
     segmented_offsets_base,
     shard_sizes,
+    shard_uniforms,
     spawn_shard_streams,
+    stable_order,
 )
 from .model import (
     WorkloadModel,
@@ -352,26 +353,38 @@ class ColumnarWorkload:
 
 
 # ---------------------------------------------------------------------------
-# Shard engine (wave algorithm)
+# Group engine (lockstep wave algorithm)
 # ---------------------------------------------------------------------------
 
 
-def _generate_shard(
+def _generate_group(
     tables: GeneratorTables,
-    n_slots: int,
+    slot_counts: Sequence[int],
     start_time: float,
     end_time: float,
     cap: float,
-    seed_seq: np.random.SeedSequence,
+    seed_seqs: Sequence[np.random.SeedSequence],
 ) -> dict:
-    """Run the wave algorithm for one shard of peer slots.
+    """Run the wave algorithm for a group of shards in lockstep.
 
-    Returns flat column arrays; query identities stay integer codes
+    Each wave draws for every live slot of the group at once, while
+    every shard keeps its own stream and makes the calls, in order and
+    size, it would make alone: each draw site concatenates one
+    ``random`` call per shard with rows there.
+
+    Returns flat wave-major column arrays plus each session's shard
+    (index within the group); query identities stay integer codes
     (class, rank, day) for the parent to resolve after the merge.
     """
-    rng = np.random.default_rng(seed_seq)
-    clocks = np.full(n_slots, float(start_time), dtype=np.float64)
-    alive = np.arange(n_slots, dtype=np.int64)
+    rngs = [np.random.default_rng(seq) for seq in seed_seqs]
+    n_shards = len(rngs)
+    slot_shard = np.repeat(np.arange(n_shards, dtype=np.int64), slot_counts)
+    clocks = np.full(slot_shard.size, float(start_time), dtype=np.float64)
+    # Ascending slots keep every wave's rows shard-major.
+    alive = np.arange(slot_shard.size, dtype=np.int64)
+
+    def draw(shard: np.ndarray, per_row: int = 1) -> np.ndarray:
+        return shard_uniforms(rngs, per_row * np.bincount(shard, minlength=n_shards))
 
     s_cols: List[Tuple[np.ndarray, ...]] = []
     q_cols: List[Tuple[np.ndarray, ...]] = []
@@ -379,16 +392,17 @@ def _generate_shard(
 
     while alive.size:
         starts = clocks[alive]
+        shard = slot_shard[alive]
         n = alive.size
         hours = ((starts % _SECONDS_PER_DAY) // 3600.0).astype(np.intp)
 
         # Step 1: region, conditioned on time of day (Fig. 1).
-        region = tables.region_stack().sample(rng, hours)
+        region = tables.region_stack().lookup(hours, draw(shard))
         region = np.minimum(region, len(MAJOR_REGIONS) - 1).astype(np.int8)
         peak = tables.peak[region, hours]
 
         # Step 2: passive vs. active, conditioned on region and hour.
-        passive = rng.random(n) < tables.passive_prob[region, hours]
+        passive = draw(shard) < tables.passive_prob[region, hours]
         durations = np.empty(n, dtype=np.float64)
 
         # Step 3: passive connected-session durations (Table A.1).
@@ -396,53 +410,58 @@ def _generate_shard(
         # ``_bounded``.
         pas = np.nonzero(passive)[0]
         if pas.size:
-            draws = tables.passive_duration.sample(rng, region[pas] * 2 + peak[pas])
+            s_pas = shard[pas]
+            draws = tables.passive_duration.invert(
+                draw(s_pas), region[pas] * 2 + peak[pas], s_pas
+            )
             durations[pas] = np.clip(draws, 0.0, cap)
 
         # Step 4: active sessions -- counts, offsets, identities.
         act = np.nonzero(~passive)[0]
         if act.size:
+            s_act = shard[act]
             r_act = region[act].astype(np.int64)
             pk_act = peak[act].astype(np.int64)
 
             # 4a: number of queries (ceil of the continuous lognormal).
-            draws = tables.queries_per_session.sample(rng, r_act)
+            draws = tables.queries_per_session.invert(draw(s_act), r_act, s_act)
             nq = np.maximum(1, np.ceil(draws)).astype(np.int64)
 
             base_key = (r_act * 2 + pk_act) * 3
             # 4b: time until the first query.
             t_first = np.clip(
-                tables.first_query.sample(rng, base_key + first_query_class_codes(nq)),
+                tables.first_query.invert(
+                    draw(s_act), base_key + first_query_class_codes(nq), s_act
+                ),
                 0.0, cap,
             )
             # 4c(i): interarrival gaps, flat over all sessions' queries.
             gap_counts = nq - 1
-            total_gaps = int(gap_counts.sum())
-            if total_gaps:
-                gap_keys = np.repeat(
-                    base_key + interarrival_class_codes(nq), gap_counts
+            if gap_counts.any():
+                s_gap = np.repeat(s_act, gap_counts)
+                gap_keys = np.repeat(base_key + interarrival_class_codes(nq), gap_counts)
+                gaps = np.clip(
+                    tables.interarrival.invert(draw(s_gap), gap_keys, s_gap), 0.0, cap
                 )
-                gaps = np.clip(tables.interarrival.sample(rng, gap_keys), 0.0, cap)
             else:
                 gaps = np.zeros(0, dtype=np.float64)
             # 4d: time after the last query.
             t_after = np.clip(
-                tables.last_query.sample(rng, base_key + last_query_class_codes(nq)),
+                tables.last_query.invert(
+                    draw(s_act), base_key + last_query_class_codes(nq), s_act
+                ),
                 0.0, cap,
             )
 
-            gap_cum = segmented_cumsum(gaps, gap_counts)
-            last_off = t_first.copy()
-            has_gaps = gap_counts > 0
-            if has_gaps.any():
-                ends = np.cumsum(gap_counts)
-                last_off[has_gaps] = t_first[has_gaps] + gap_cum[ends[has_gaps] - 1]
-            dur_act = np.minimum(last_off + t_after, cap)
+            # Flat query rows: offset = first + per-session gap cumsum.
+            # The kernel's running sum spans every segment of a call, so
+            # rounding depends on the segments before; one call per
+            # shard keeps each shard's rounding its own.
+            offs = _offsets_per_shard(t_first, gaps, nq, s_act, n_shards)
+            ends = np.cumsum(nq, dtype=np.int64)
+            dur_act = np.minimum(offs[ends - 1] + t_after, cap)
             durations[act] = dur_act
-
-            # Flat query rows: offset = first + per-session gap cumsum,
-            # clamped to the session duration like the event path.
-            offs = segmented_offsets_base(t_first, gaps, nq)
+            # Clamped to the session duration like the event path.
             offs = np.minimum(offs, np.repeat(dur_act, nq))
 
             # 4c(ii)-(iii): class and rank codes; the sample day is the
@@ -451,7 +470,10 @@ def _generate_shard(
                 (starts[act] + np.minimum(t_first, dur_act)) // _SECONDS_PER_DAY
             ).astype(np.int64)
             q_region = np.repeat(r_act, nq).astype(np.int8)
-            cls_codes, ranks = tables.sampler.sample(rng, q_region)
+            q_shard = np.repeat(s_act, nq)
+            cls_codes, ranks = tables.sampler.invert(
+                draw(q_shard, per_row=2), q_region, q_shard
+            )
 
             q_cols.append((
                 emitted + np.repeat(act, nq),
@@ -461,12 +483,12 @@ def _generate_shard(
                 np.repeat(day, nq),
             ))
 
-        s_cols.append((region, starts, durations, passive))
+        s_cols.append((region, starts, durations, passive, shard))
         emitted += n
         clocks[alive] = starts + durations
         alive = alive[clocks[alive] < end_time]
 
-    region, starts, durations, passive = (
+    region, starts, durations, passive, shard = (
         np.concatenate(cols) for cols in zip(*s_cols)
     )
     if q_cols:
@@ -481,13 +503,39 @@ def _generate_shard(
         q_day = np.empty(0, dtype=np.int64)
     return {
         "region": region, "start": starts, "duration": durations,
-        "passive": passive, "q_sess": q_sess, "q_off": q_off,
+        "passive": passive, "shard": shard, "q_sess": q_sess, "q_off": q_off,
         "q_cls": q_cls, "q_rank": q_rank, "q_day": q_day,
     }
 
 
-def _shard_task(task) -> dict:
-    return _generate_shard(*task)
+def _offsets_per_shard(
+    first: np.ndarray,
+    gaps: np.ndarray,
+    counts: np.ndarray,
+    shard: np.ndarray,
+    n_shards: int,
+) -> np.ndarray:
+    """:func:`segmented_offsets_base` called once per shard's rows.
+
+    ``shard`` is nondecreasing; a shard's rows and its gaps are each one
+    contiguous slice.
+    """
+    rows = np.zeros(n_shards + 1, dtype=np.int64)
+    np.cumsum(np.bincount(shard, minlength=n_shards), out=rows[1:])
+    gap_at = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts - 1, out=gap_at[1:])
+    parts = [
+        segmented_offsets_base(
+            first[lo:hi], gaps[gap_at[lo]:gap_at[hi]], counts[lo:hi]
+        )
+        for lo, hi in zip(rows[:-1], rows[1:])
+        if hi > lo
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _group_task(task) -> dict:
+    return _generate_group(*task)
 
 
 # ---------------------------------------------------------------------------
@@ -533,34 +581,42 @@ def generate_columnar_workload(
     start_time: float = 0.0,
     max_session_seconds: float = 40 * _SECONDS_PER_DAY,
     jobs: int = 1,
+    *,
+    _tables: Optional[GeneratorTables] = None,
 ) -> ColumnarWorkload:
     """Generate a steady-state workload as a :class:`ColumnarWorkload`.
 
     Stateless: the same arguments always produce the same workload,
     byte for byte, independent of ``jobs`` (which only sizes the worker
     pool over the fixed :data:`SLOTS_PER_SHARD` shard grid).
+    ``_tables`` is :meth:`GeneratorTables.from_model` of ``model`` and
+    ``universe``, prebuilt by callers that generate many windows.
     """
     if duration_seconds <= 0:
         raise ValueError("duration_seconds must be positive")
     if n_peers < 1:
         raise ValueError(f"n_peers must be >= 1, got {n_peers}")
-    tables = GeneratorTables.from_model(model, universe)
+    tables = GeneratorTables.from_model(model, universe) if _tables is None else _tables
     n_shards = max(1, math.ceil(n_peers / SLOTS_PER_SHARD))
     slot_counts = shard_sizes(n_peers, n_shards)
     seeds = spawn_shard_streams(seed, n_shards)
     end_time = start_time + duration_seconds
     cap = float(max_session_seconds)
+    # One lockstep group per worker, of contiguous shards.
+    workers = resolve_workers(jobs, n_shards)
+    bounds = np.cumsum([0] + shard_sizes(n_shards, max(1, workers)))
     tasks = [
-        (tables, slot_counts[i], float(start_time), end_time, cap, seeds[i])
-        for i in range(n_shards)
+        (tables, slot_counts[lo:hi], float(start_time), end_time, cap, seeds[lo:hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
-    parts = pool_map(_shard_task, tasks, resolve_workers(jobs, n_shards))
+    parts = pool_map(_group_task, tasks, workers)
 
     session_base = np.cumsum([0] + [p["start"].size for p in parts])
     region = np.concatenate([p["region"] for p in parts])
     start = np.concatenate([p["start"] for p in parts])
     duration = np.concatenate([p["duration"] for p in parts])
     passive = np.concatenate([p["passive"] for p in parts])
+    shard = np.concatenate([p["shard"] + bounds[i] for i, p in enumerate(parts)])
     q_sess = np.concatenate(
         [p["q_sess"] + session_base[i] for i, p in enumerate(parts)]
     )
@@ -569,9 +625,11 @@ def generate_columnar_workload(
     q_rank = np.concatenate([p["q_rank"] for p in parts])
     q_day = np.concatenate([p["q_day"] for p in parts])
 
-    # Global start-time order (the event backend's yield order); the
-    # stable sort keeps the shard/slot order deterministic across ties.
-    order = np.argsort(start, kind="stable")
+    # Global start-time order (the event backend's yield order).  Ties
+    # keep shard-major order -- each shard's waves, shard after shard --
+    # so rows are first put in that order, then stably sorted by start.
+    by_shard = stable_order(shard, n_shards)
+    order = by_shard[np.argsort(start[by_shard], kind="stable")]
     inverse = np.empty(order.size, dtype=np.int64)
     inverse[order] = np.arange(order.size)
     region, start, duration, passive = (

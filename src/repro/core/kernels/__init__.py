@@ -40,6 +40,8 @@ from .sampling import (
     CategoricalTableStack,
     DistributionStack,
     searchsorted_left,
+    shard_uniforms,
+    stable_order,
 )
 from .segmented import (
     group_slices,
@@ -73,7 +75,7 @@ __all__ = [
     "segmented_offsets_base", "segmented_offsets_scatter",
     # sampling
     "CategoricalTable", "CategoricalTableStack", "DistributionStack",
-    "searchsorted_left",
+    "searchsorted_left", "shard_uniforms", "stable_order",
     # setops
     "isin_sorted", "merge_unique", "setdiff_sorted", "sorted_lookup",
     # sharding

@@ -31,7 +31,9 @@ table is always safe to build.
 the Fig. 12 generator: one uniform batch and one inverse-CDF pass over
 a whole table of conditional distributions, consuming the RNG exactly
 like one ``dist.ppf(rng.random(n))`` call per group in ascending key
-order.
+order.  A batch may span several shards, each with its own stream:
+:func:`shard_uniforms` makes every shard's call and the stack hands
+each shard's uniforms to that shard's elements.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "CategoricalTableStack",
     "DistributionStack",
     "searchsorted_left",
+    "shard_uniforms",
 ]
 
 #: Cells in the smallest table; keeps tiny CDFs (region mixes, class
@@ -61,6 +64,25 @@ _MAX_BUCKETS = 1 << 18
 def searchsorted_left(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The reference inversion: ``#{cdf values < u}`` per element."""
     return np.searchsorted(cdf, u, side="left")
+
+
+def shard_uniforms(rngs: Sequence[np.random.Generator], counts) -> np.ndarray:
+    """``rngs[s].random(counts[s])`` for every shard with a nonzero
+    count, concatenated in shard order."""
+    parts = [rngs[s].random(int(counts[s])) for s in np.flatnonzero(counts)]
+    if not parts:
+        return np.empty(0, dtype=np.float64)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of integer ``keys`` in ``[0, bound)``.
+
+    Keys that fit 16 bits get NumPy's radix sort, several times faster
+    than the stable sort of int64 keys.
+    """
+    dtype = np.int16 if bound <= np.iinfo(np.int16).max + 1 else np.int64
+    return np.argsort(keys.astype(dtype, copy=False), kind="stable")
 
 
 def _plan_buckets(cdf: np.ndarray) -> Optional[int]:
@@ -190,6 +212,9 @@ class DistributionStack:
             idx = np.flatnonzero(codes == r)
             out[idx] = dists[r].ppf(rng.random(idx.size))
 
+    :meth:`invert` does the same for a batch whose elements belong to
+    several shards, each shard running that loop on its own stream.
+
     Rows sharing a :func:`~repro.core.distributions.ppf_layout`
     structure (every table of the paper model is one structure) are
     evaluated together through the family formulas with per-element
@@ -201,13 +226,10 @@ class DistributionStack:
     workers.
     """
 
-    __slots__ = ("n_rows", "_sort_dtype", "_row_group", "_groups", "_fallback")
+    __slots__ = ("n_rows", "_row_group", "_groups", "_fallback")
 
     def __init__(self, dists: Sequence):
         self.n_rows = len(dists)
-        # Codes lie in [0, n_rows); a 16-bit key gets NumPy's radix sort,
-        # several times faster than the stable sort of int64 keys.
-        self._sort_dtype = np.int16 if self.n_rows <= np.iinfo(np.int16).max else np.int64
         layouts = [ppf_layout(d) for d in dists]
         structures: dict = {}
         row_group = np.full(self.n_rows, -1, dtype=np.int64)
@@ -242,18 +264,35 @@ class DistributionStack:
         the order the per-group loop consumes them in.
         """
         codes = np.asarray(codes)
-        u = rng.random(codes.size)
+        return self.invert(rng.random(codes.size), codes)
+
+    def invert(
+        self, u: np.ndarray, codes: np.ndarray, shards: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """One value per code from the uniforms of one or more shards.
+
+        ``u`` holds, shard by shard in ascending shard order, the
+        uniforms of one ``random(n_s)`` call per shard (see
+        :func:`shard_uniforms`); ``shards`` gives each element's shard
+        (None: one shard).  Uniform ``j`` of shard ``s`` goes to the
+        ``j``-th element of shard ``s`` in stable code order, so every
+        shard gets the values :meth:`sample` gives it on its own stream.
+        """
+        codes = np.asarray(codes)
+        if shards is None:
+            order = stable_order(codes, self.n_rows)
+        else:
+            bound = self.n_rows * (int(shards.max(initial=0)) + 1)
+            order = stable_order(shards * self.n_rows + codes, bound)
         q = np.empty_like(u)
-        q[np.argsort(codes.astype(self._sort_dtype), kind="stable")] = u
+        q[order] = u
         out = np.empty(codes.size, dtype=np.float64)
         whole = len(self._groups) == 1 and not self._fallback
         for g, (structure, columns) in enumerate(self._groups):
             sel = slice(None) if whole else np.flatnonzero(self._row_group[codes] == g)
             if not whole and sel.size == 0:
                 continue
-            rows = codes[sel]
-            params = [c if isinstance(c, float) else c[rows] for c in columns]
-            out[sel] = layout_ppf(structure, q[sel], params)
+            out[sel] = layout_ppf(structure, q[sel], columns, codes[sel])
         for row, dist in self._fallback:
             idx = np.flatnonzero(codes == row)
             if idx.size:

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .distributions import Zipf
-from .kernels import CategoricalTable
+from .kernels import CategoricalTable, CategoricalTableStack, group_slices, stable_order
 from .parameters import (
     INTERSECTION_ZIPF,
     OWN_CLASS_PROBABILITY,
@@ -446,18 +446,17 @@ class ClassRankSampler:
 
     A frozen, picklable snapshot of a :class:`QueryUniverse`'s sampling
     tables: per major region the class-choice cumulative weights, and per
-    class the Figure 11 rank CDF plus the daily-size clamp.  ``sample``
+    class the Figure 11 rank CDF plus the daily-size clamp.  ``invert``
     performs steps (c)(ii)-(iii) of the Figure 12 algorithm for a whole
-    flat query batch whose rows may belong to different regions -- the
-    form the columnar generator's per-shard workers need, with no RNG or
-    string state of their own.
+    flat query batch whose rows may belong to different regions and
+    shards -- the form the columnar generator's lockstep waves need, with
+    no RNG or string state of their own.
 
     Region codes follow :data:`~repro.core.regions.MAJOR_REGIONS` order;
-    class codes follow :data:`CLASS_ORDER`.  RNG consumption matches
-    :meth:`QueryUniverse.sample_batch_codes` per region group: one
-    uniform batch for the class picks, then one per distinct class for
-    the ranks, with groups visited in fixed (region, class-code) order so
-    draws are deterministic for a given stream.
+    class codes follow :data:`CLASS_ORDER`.  Each shard's uniforms come
+    from one call, carved into the blocks of a per-group draw: for each
+    region in code order, one block for the class picks, then one per
+    distinct class for the ranks, classes in code order.
     """
 
     def __init__(
@@ -473,13 +472,11 @@ class ClassRankSampler:
         self._class_sizes = np.asarray(class_sizes, dtype=np.int64)
         # Draw tables are built lazily per process and dropped from the
         # pickled snapshot (rebuilding is cheaper than shipping them).
-        self._region_tables: Optional[List[CategoricalTable]] = None
-        self._class_tables: Optional[List[CategoricalTable]] = None
+        self._tables = None
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_region_tables"] = None
-        state["_class_tables"] = None
+        state["_tables"] = None
         return state
 
     @classmethod
@@ -500,30 +497,72 @@ class ClassRankSampler:
         sizes = np.array([universe.daily_size(c) for c in CLASS_ORDER], dtype=np.int64)
         return cls(region_classes, region_cum, class_cdfs, sizes)
 
-    def sample(
-        self, rng: np.random.Generator, region_codes: np.ndarray
+    def _draw_tables(self):
+        """(region pick stack, padded region classes, classes per region,
+        per-class rank tables), built on first use."""
+        if self._tables is None:
+            width = max(c.size for c in self._region_cum)
+            # Padding with 1.0 never counts as a CDF value below a
+            # uniform in [0, 1), so each row inverts as its own table.
+            cum = np.ones((len(self._region_cum), width), dtype=np.float64)
+            classes = np.zeros((len(self._region_cum), width), dtype=np.int8)
+            for r, (row, codes) in enumerate(zip(self._region_cum, self._region_classes)):
+                cum[r, :row.size] = row
+                classes[r, :codes.size] = codes
+            n_classes = np.array([c.size for c in self._region_classes], dtype=np.int64)
+            self._tables = (
+                CategoricalTableStack(cum),
+                classes,
+                n_classes,
+                [CategoricalTable(c) for c in self._class_cdfs],
+            )
+        return self._tables
+
+    def invert(
+        self,
+        u: np.ndarray,
+        region_codes: np.ndarray,
+        shards: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Draw ``(class codes, 1-based ranks)`` for each batch row."""
-        region_codes = np.asarray(region_codes)
-        if self._region_tables is None:
-            self._region_tables = [CategoricalTable(c) for c in self._region_cum]
-            self._class_tables = [CategoricalTable(c) for c in self._class_cdfs]
-        n = region_codes.size
-        cls_codes = np.empty(n, dtype=np.int8)
+        """``(class codes, 1-based ranks)`` for each batch row.
+
+        ``u`` holds, shard by shard in ascending shard order, the
+        ``2 * n_s`` uniforms of one ``random(2 * n_s)`` call per shard
+        with ``n_s`` rows; ``shards`` gives each row's shard (None: one
+        shard).  Within a shard, region ``r``'s ``n`` rows take the next
+        ``n`` uniforms as class picks, then ``n`` more as ranks in stable
+        class order.
+        """
+        region_stack, region_classes, n_classes, class_tables = self._draw_tables()
+        region = np.asarray(region_codes).astype(np.int64)
+        n = region.size
+        n_regions = len(self._region_cum)
+        if shards is None:
+            key, bound = region, n_regions
+        else:
+            key = shards * n_regions + region
+            bound = n_regions * (int(shards.max(initial=0)) + 1)
+        counts = np.bincount(key, minlength=bound)
+        # Row ``block`` of the stably (shard, region)-sorted batch opens
+        # the row's block; its uniforms start at ``2 * block``.  A row in
+        # sorted place ``p`` takes pick ``2 * block + (p - block)``.
+        block = (np.cumsum(counts, dtype=np.int64) - counts)[key]
+        place = np.empty(n, dtype=np.int64)
+        place[stable_order(key, bound)] = np.arange(n, dtype=np.int64)
+        picks = region_stack.lookup(region, u[block + place])
+        picks = np.minimum(picks, n_classes[region] - 1)
+        cls_codes = region_classes[region, picks]
+        n_cls = len(class_tables)
+        place[stable_order(key * n_cls + cls_codes, bound * n_cls)] = np.arange(
+            n, dtype=np.int64
+        )
+        rank_u = u[block + counts[key] + place]
         ranks = np.empty(n, dtype=np.int64)
-        for rc in range(len(self._region_cum)):
-            positions = np.nonzero(region_codes == rc)[0]
-            if positions.size == 0:
-                continue
-            picks = self._region_tables[rc].sample(rng, positions.size)
-            picks = np.minimum(picks, self._region_classes[rc].size - 1)
-            codes = self._region_classes[rc][picks]
-            cls_codes[positions] = codes
-            for code in np.unique(codes):
-                sub = positions[codes == code]
-                drawn = self._class_tables[int(code)].sample(rng, sub.size) + 1
-                ranks[sub] = np.minimum(drawn, self._class_sizes[int(code)])
-        return cls_codes, ranks
+        order, keys, bounds = group_slices(cls_codes)
+        for g, code in enumerate(keys):
+            idx = order[bounds[g]:bounds[g + 1]]
+            ranks[idx] = class_tables[int(code)].lookup(rank_u[idx]) + 1
+        return cls_codes, np.minimum(ranks, self._class_sizes[cls_codes])
 
 
 def top_n_overlap(ranking_a: Sequence[str], ranking_b: Sequence[str], rank_range: Tuple[int, int], top_n: int) -> int:

@@ -29,7 +29,11 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.core.generator_columnar import ColumnarWorkload, generate_columnar_workload
+from repro.core.generator_columnar import (
+    ColumnarWorkload,
+    GeneratorTables,
+    generate_columnar_workload,
+)
 from repro.core.model import WorkloadModel
 from repro.core.popularity import QueryUniverse
 from repro.core.workload_io import session_record
@@ -188,6 +192,8 @@ class WorkloadFrameSource:
     def _batches(self) -> Iterator[ColumnarWorkload]:
         config = self.config
         universe = self._fresh_universe()
+        # The tables hold no per-day state, so every window shares them.
+        tables = GeneratorTables.from_model(self.model, universe)
         window = 0
         while True:
             workload = generate_columnar_workload(
@@ -198,6 +204,7 @@ class WorkloadFrameSource:
                 duration_seconds=config.window_seconds,
                 start_time=window * config.window_seconds,
                 jobs=config.jobs,
+                _tables=tables,
             )
             query_index = workload.query_index()
             for lo in range(0, workload.n_sessions, config.batch_sessions):

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from repro.core import (
@@ -20,8 +22,15 @@ from repro.core import (
     generate_columnar_workload,
     to_npz,
 )
+from repro.core.distributions import Empirical
 from repro.core.events import GeneratedQuery, GeneratedSession
-from repro.core.generator_columnar import SLOTS_PER_SHARD, WORKLOAD_REGION_CODE
+from repro.core.generator_columnar import (
+    SLOTS_PER_SHARD,
+    WORKLOAD_REGION_CODE,
+    GeneratorTables,
+    _generate_group,
+)
+from repro.core.kernels import CategoricalTable, shard_uniforms, spawn_shard_streams
 from repro.core.model import WorkloadModel
 from repro.core.popularity import CLASS_ORDER, QueryUniverse
 from repro.core.regions import MAJOR_REGIONS, Region
@@ -231,12 +240,13 @@ class TestDeterminism:
         assert _column_digests(workload) == MULTI_SHARD_GOLDENS
 
     def test_jobs_do_not_change_output(self, monkeypatch):
-        # Multi-shard run (n_peers > SLOTS_PER_SHARD); force the worker
+        # Five shards, so jobs=2 and jobs=4 split them into unequal
+        # lockstep groups (3 + 2 and 2 + 1 + 1 + 1); force the worker
         # pool to actually spawn even on a single-CPU host so the pooled
         # code path is exercised, not just the sequential fallback.
         import repro.core.kernels.sharding as sharding
 
-        n_peers = SLOTS_PER_SHARD + 700
+        n_peers = 4 * SLOTS_PER_SHARD + 700
         gen = SyntheticWorkloadGenerator(n_peers=n_peers, seed=5)
         serial = gen.generate_columnar(900.0, jobs=1)
         monkeypatch.setattr(sharding, "available_cpus", lambda: 4)
@@ -244,6 +254,150 @@ class TestDeterminism:
         pooled_4 = gen.generate_columnar(900.0, jobs=4)
         assert serial.equals(pooled_2)
         assert serial.equals(pooled_4)
+
+
+def per_group_class_ranks(sampler, rng, region_codes):
+    """The loop :meth:`ClassRankSampler.invert` replaces: per region, one
+    class-pick draw, then one rank draw per class present, classes in
+    code order."""
+    region_tables = [CategoricalTable(c) for c in sampler._region_cum]
+    class_tables = [CategoricalTable(c) for c in sampler._class_cdfs]
+    region_codes = np.asarray(region_codes)
+    cls_codes = np.empty(region_codes.size, dtype=np.int8)
+    ranks = np.empty(region_codes.size, dtype=np.int64)
+    for rc in range(len(region_tables)):
+        positions = np.nonzero(region_codes == rc)[0]
+        if positions.size == 0:
+            continue
+        picks = region_tables[rc].sample(rng, positions.size)
+        picks = np.minimum(picks, sampler._region_classes[rc].size - 1)
+        codes = sampler._region_classes[rc][picks]
+        cls_codes[positions] = codes
+        for code in np.unique(codes):
+            sub = positions[codes == code]
+            drawn = class_tables[int(code)].sample(rng, sub.size) + 1
+            ranks[sub] = np.minimum(drawn, sampler._class_sizes[int(code)])
+    return cls_codes, ranks
+
+
+def _fitted_model():
+    """A from_fits model with ``Empirical`` rows in every grid table, so
+    each stack takes its per-row ppf fallback."""
+    emp = Empirical([2.0, 15.0, 40.0, 300.0, 2500.0, 9000.0])
+    na, eu, asia = MAJOR_REGIONS
+    return WorkloadModel.from_fits(
+        passive_duration={(na, True): emp, (asia, False): emp},
+        queries_per_session={eu: Empirical([1.0, 1.0, 2.0, 4.0, 11.0])},
+        first_query={(na, True, "<3"): emp, (eu, False, ">3"): emp},
+        interarrival={(na, True, "3-7"): emp, (asia, False, "=2"): emp},
+        last_query={(eu, True, "1"): emp, (na, False, ">7"): emp},
+    )
+
+
+_TABLES = {}
+
+
+def _tables(fitted):
+    if fitted not in _TABLES:
+        model = _fitted_model() if fitted else WorkloadModel.paper()
+        _TABLES[fitted] = GeneratorTables.from_model(model, QueryUniverse())
+    return _TABLES[fitted]
+
+
+def _shard_major(part):
+    """A group's wave-major columns in shard order (each shard's waves,
+    shard after shard), queries following their sessions."""
+    order = np.argsort(part["shard"], kind="stable")
+    inverse = np.empty(order.size, dtype=np.int64)
+    inverse[order] = np.arange(order.size)
+    q_sess = inverse[part["q_sess"]]
+    q_order = np.argsort(q_sess, kind="stable")
+    out = {k: part[k][order] for k in ("region", "start", "duration", "passive")}
+    out["q_sess"] = q_sess[q_order]
+    for k in ("q_off", "q_cls", "q_rank", "q_day"):
+        out[k] = part[k][q_order]
+    return out
+
+
+class TestLockstepGroups:
+    @given(
+        slot_counts=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        start_time=st.sampled_from([0.0, 86400.0 - 90.0, 5 * 86400.0 - 2000.0]),
+        duration=st.floats(300.0, 6 * 3600.0),
+        fitted=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_group_equals_its_one_shard_groups(
+        self, slot_counts, seed, start_time, duration, fitted
+    ):
+        # One lockstep run over the group must give every shard the bytes
+        # it gets alone.  Tiny shards finish waves before big ones, and a
+        # start just before midnight makes waves cross a day boundary.
+        tables = _tables(fitted)
+        if fitted:
+            assert all(
+                getattr(tables, name)._fallback
+                for name in ("passive_duration", "queries_per_session", "first_query",
+                             "interarrival", "last_query")
+            )
+        seeds = spawn_shard_streams(seed, len(slot_counts))
+        end = start_time + duration
+        cap = 40 * 86400.0
+        group = _shard_major(
+            _generate_group(tables, slot_counts, start_time, end, cap, seeds)
+        )
+        alone = [
+            _generate_group(tables, [n], start_time, end, cap, [seq])
+            for n, seq in zip(slot_counts, seeds)
+        ]
+        base = np.cumsum([0] + [p["start"].size for p in alone])
+        expected = {
+            k: np.concatenate([p[k] for p in alone]) for k in group if k != "q_sess"
+        }
+        expected["q_sess"] = np.concatenate(
+            [p["q_sess"] + base[i] for i, p in enumerate(alone)]
+        )
+        for key, column in expected.items():
+            assert group[key].tobytes() == column.tobytes(), key
+
+    @given(
+        regions=st.lists(st.integers(0, 2), max_size=300),
+        n_shards=st.integers(1, 4),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_carved_class_rank_draw_matches_the_group_loop(
+        self, regions, n_shards, data, seed
+    ):
+        # One random(2 * n_s) call per shard, carved into the blocks the
+        # per-(region, class) loop draws on that shard's stream.
+        sampler = _tables(False).sampler
+        regions = np.asarray(regions, dtype=np.int64)
+        shards = np.asarray(
+            data.draw(st.lists(st.integers(0, n_shards - 1), min_size=regions.size,
+                               max_size=regions.size)),
+            dtype=np.int64,
+        )
+        streams = spawn_shard_streams(seed, n_shards)
+        exp_cls = np.empty(regions.size, dtype=np.int8)
+        exp_rank = np.empty(regions.size, dtype=np.int64)
+        for s in range(n_shards):
+            mine = shards == s
+            exp_cls[mine], exp_rank[mine] = per_group_class_ranks(
+                sampler, np.random.default_rng(streams[s]), regions[mine]
+            )
+        rngs = [np.random.default_rng(seq) for seq in streams]
+        u = shard_uniforms(rngs, 2 * np.bincount(shards, minlength=n_shards))
+        cls_codes, ranks = sampler.invert(u, regions, shards)
+        assert cls_codes.tobytes() == exp_cls.tobytes()
+        assert ranks.tobytes() == exp_rank.tobytes()
+        if n_shards == 1:
+            one = sampler.invert(np.random.default_rng(streams[0]).random(2 * regions.size),
+                                 regions)
+            assert one[0].tobytes() == exp_cls.tobytes()
+            assert one[1].tobytes() == exp_rank.tobytes()
 
 
 class TestBackendEquivalence:

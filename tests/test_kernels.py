@@ -50,6 +50,7 @@ from repro.core.kernels import (
     segmented_cumsum,
     setdiff_sorted,
     shard_sizes,
+    shard_uniforms,
     sorted_lookup,
     spawn_shard_streams,
     use_backend,
@@ -410,6 +411,98 @@ def test_distribution_stack_keeps_scalar_power_fast_paths(dists):
     # pow loop, which differs from sqrt/square/reciprocal on ~10% of inputs.
     codes = np.random.default_rng(1).integers(0, len(dists), 20000)
     assert_stack_matches_loop(dists, codes, 5)
+
+
+class FixedUniforms:
+    """Stands in for a Generator: hands out the given uniforms in order."""
+
+    def __init__(self, u):
+        self._u = np.asarray(u, dtype=np.float64)
+        self._next = 0
+
+    def random(self, n):
+        out = self._u[self._next:self._next + n]
+        self._next += n
+        return out
+
+
+_SPLICED_ROWS = [
+    # At u == body weight the body gives 44.99..., the tail 45.0.
+    Spliced(Lognormal(2.0, 0.9), Pareto(1.0, 45.0), 45.0, 0.5),
+    Spliced(Lognormal(3.0, 1.4), Pareto(1.0, 103.0), 103.0, 0.8),
+    Spliced(Lognormal(2.0, 0.9), Pareto(1.5, 60.0), 60.0, 0.35, 10.0),
+    Spliced(Lognormal(4.0, 2.0), Pareto(2.0, 90.0), 90.0, 0.6),
+]
+
+
+@pytest.mark.parametrize("n_rows", [1, 4])  # one body weight, or a per-row table
+@pytest.mark.parametrize("case", ["edges", "all_body", "all_tail"])
+def test_distribution_stack_spliced_takes_each_branch_once(n_rows, case):
+    # Each element goes through its own branch only; the edges are a
+    # uniform of 0 and one exactly at the body weight (still the body).
+    dists = _SPLICED_ROWS[:n_rows]
+    codes = np.repeat(np.arange(n_rows), 6)  # sorted: uniform j -> element j
+    w = np.array([d.body_weight for d in dists])[codes]
+    if case == "edges":
+        u = np.stack([
+            np.zeros(n_rows), w[::6], np.nextafter(w[::6], 0.0),
+            np.nextafter(w[::6], 1.0), w[::6] / 2, (1.0 + w[::6]) / 2,
+        ], axis=1).ravel()
+    elif case == "all_body":
+        u = w * np.tile(np.linspace(0.0, 1.0, 6), n_rows)
+    else:
+        u = w + (1.0 - w) * np.tile(np.linspace(1e-9, 0.999, 6), n_rows)
+        assert (u > w).all()
+    expected = per_group_draws(dists, FixedUniforms(u), codes)
+    got = DistributionStack(dists).sample(FixedUniforms(u), codes)
+    assert got.tobytes() == expected.tobytes()
+    # The formula that evaluated both branches everywhere and kept one,
+    # on arrays (the per-group loop) and on scalars (a scalar ``ppf``).
+    both = np.empty(codes.size, dtype=np.float64)
+    for row, d in enumerate(dists):
+        x = u[codes == row]
+        both[codes == row] = _both_branches(d, x)
+    assert got.tobytes() == both.tobytes()
+    for c, x in zip(codes, u):
+        scalar = dists[c].ppf(float(x))
+        assert isinstance(scalar, float)
+        assert np.float64(scalar).tobytes() == _both_branches(dists[c], x).tobytes()
+
+
+def _both_branches(d, x):
+    return np.where(
+        x <= d.body_weight,
+        d.body.ppf(np.clip(x / d.body_weight, 0.0, 1.0)),
+        d.tail.ppf(np.clip((x - d.body_weight) / (1.0 - d.body_weight), 0.0, 1.0)),
+    )
+
+
+@given(data=st.data(), n_shards=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_distribution_stack_inverts_each_shards_uniforms(data, n_shards, seed):
+    # A batch over several shards: each shard's elements get what the
+    # per-group loop gives them on that shard's own stream, wherever the
+    # shard's elements sit in the batch.
+    dists = _SPLICED_ROWS + [Lognormal(1.0, 0.5), Empirical([1.0, 4.0, 9.0])]
+    codes = np.asarray(
+        data.draw(st.lists(st.integers(0, len(dists) - 1), max_size=120)), dtype=np.int64
+    )
+    shards = np.asarray(
+        data.draw(st.lists(st.integers(0, n_shards - 1), min_size=codes.size,
+                           max_size=codes.size)),
+        dtype=np.int64,
+    )
+    streams = spawn_shard_streams(seed, n_shards)
+    expected = np.empty(codes.size, dtype=np.float64)
+    for s in range(n_shards):
+        mine = shards == s
+        expected[mine] = per_group_draws(
+            dists, np.random.default_rng(streams[s]), codes[mine]
+        )
+    rngs = [np.random.default_rng(seq) for seq in streams]
+    u = shard_uniforms(rngs, np.bincount(shards, minlength=n_shards))
+    got = DistributionStack(dists).invert(u, codes, shards)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_distribution_stack_serves_the_paper_grid():
