@@ -29,9 +29,13 @@ Sharding
 
 Large ``n_peers`` runs split the slots into fixed-size shards of
 :data:`SLOTS_PER_SHARD`; each shard draws from its own
-``SeedSequence(seed).spawn(n_shards)[index]`` stream and is generated
-independently (possibly in a worker-process pool capped by
-:func:`~repro.core.runtime.available_cpus`).  The shard count depends
+``SeedSequence(seed).spawn(n_shards)[index]`` stream.  One wave loop
+runs over a contiguous *group* of shards in lockstep: every shard of
+the window with ``jobs=1``, one group per worker otherwise (a pool
+capped by :func:`~repro.core.runtime.available_cpus`).  Each shard still
+makes exactly the RNG calls it would make alone, its uniforms go to its
+own elements, and its running sums restart at the shard, so a group's
+output is its shards' outputs side by side.  The shard count depends
 only on ``n_peers`` -- never on the worker count -- so output is
 byte-identical regardless of ``jobs``.  Workers never touch the query
 universe: they emit ``(class, rank, day)`` integer codes via a

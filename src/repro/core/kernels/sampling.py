@@ -205,15 +205,13 @@ class CategoricalTableStack:
 class DistributionStack:
     """Per-row continuous distributions sampled in one inverse-CDF pass.
 
-    Row ``r`` is ``dists[r]``.  :meth:`sample` draws one value per code
-    and is byte-identical to the per-group loop it replaces::
+    Row ``r`` is ``dists[r]``.  :meth:`invert` gives one value per code
+    and is byte-identical to the per-group loop it replaces, run by each
+    shard of the batch on its own stream::
 
         for r in sorted(set(codes)):
             idx = np.flatnonzero(codes == r)
             out[idx] = dists[r].ppf(rng.random(idx.size))
-
-    :meth:`invert` does the same for a batch whose elements belong to
-    several shards, each shard running that loop on its own stream.
 
     Rows sharing a :func:`~repro.core.distributions.ppf_layout`
     structure (every table of the paper model is one structure) are
@@ -256,34 +254,21 @@ class DistributionStack:
             (row, dists[row]) for row, layout in enumerate(layouts) if layout is None
         )
 
-    def sample(self, rng: np.random.Generator, codes: np.ndarray) -> np.ndarray:
-        """One draw per code in ``[0, n_rows)``, consuming exactly
-        ``rng.random(len(codes))``.
-
-        Uniform ``j`` goes to the ``j``-th element in stable code order,
-        the order the per-group loop consumes them in.
-        """
-        codes = np.asarray(codes)
-        return self.invert(rng.random(codes.size), codes)
-
-    def invert(
-        self, u: np.ndarray, codes: np.ndarray, shards: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """One value per code from the uniforms of one or more shards.
+    def invert(self, u: np.ndarray, codes: np.ndarray, shards: np.ndarray) -> np.ndarray:
+        """One value per code in ``[0, n_rows)`` from the uniforms of one
+        or more shards.
 
         ``u`` holds, shard by shard in ascending shard order, the
-        uniforms of one ``random(n_s)`` call per shard (see
-        :func:`shard_uniforms`); ``shards`` gives each element's shard
-        (None: one shard).  Uniform ``j`` of shard ``s`` goes to the
-        ``j``-th element of shard ``s`` in stable code order, so every
-        shard gets the values :meth:`sample` gives it on its own stream.
+        uniforms of one ``random(n_s)`` call per shard with ``n_s``
+        elements (see :func:`shard_uniforms`); ``shards`` gives each
+        element's shard.  Uniform ``j`` of shard ``s`` goes to the
+        ``j``-th element of shard ``s`` in stable code order -- the order
+        the per-group loop consumes them in on that shard's stream.
         """
         codes = np.asarray(codes)
-        if shards is None:
-            order = stable_order(codes, self.n_rows)
-        else:
-            bound = self.n_rows * (int(shards.max(initial=0)) + 1)
-            order = stable_order(shards * self.n_rows + codes, bound)
+        shards = np.asarray(shards)
+        bound = self.n_rows * (int(shards.max(initial=0)) + 1)
+        order = stable_order(shards * self.n_rows + codes, bound)
         q = np.empty_like(u)
         q[order] = u
         out = np.empty(codes.size, dtype=np.float64)

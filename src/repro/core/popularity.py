@@ -519,29 +519,23 @@ class ClassRankSampler:
         return self._tables
 
     def invert(
-        self,
-        u: np.ndarray,
-        region_codes: np.ndarray,
-        shards: Optional[np.ndarray] = None,
+        self, u: np.ndarray, region_codes: np.ndarray, shards: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(class codes, 1-based ranks)`` for each batch row.
 
         ``u`` holds, shard by shard in ascending shard order, the
         ``2 * n_s`` uniforms of one ``random(2 * n_s)`` call per shard
-        with ``n_s`` rows; ``shards`` gives each row's shard (None: one
-        shard).  Within a shard, region ``r``'s ``n`` rows take the next
-        ``n`` uniforms as class picks, then ``n`` more as ranks in stable
-        class order.
+        with ``n_s`` rows; ``shards`` gives each row's shard.  Within a
+        shard, region ``r``'s ``n`` rows take the next ``n`` uniforms as
+        class picks, then ``n`` more as ranks in stable class order.
         """
         region_stack, region_classes, n_classes, class_tables = self._draw_tables()
         region = np.asarray(region_codes).astype(np.int64)
+        shards = np.asarray(shards)
         n = region.size
         n_regions = len(self._region_cum)
-        if shards is None:
-            key, bound = region, n_regions
-        else:
-            key = shards * n_regions + region
-            bound = n_regions * (int(shards.max(initial=0)) + 1)
+        key = shards * n_regions + region
+        bound = n_regions * (int(shards.max(initial=0)) + 1)
         counts = np.bincount(key, minlength=bound)
         # Row ``block`` of the stably (shard, region)-sorted batch opens
         # the row's block; its uniforms start at ``2 * block``.  A row in

@@ -393,11 +393,6 @@ class TestLockstepGroups:
         cls_codes, ranks = sampler.invert(u, regions, shards)
         assert cls_codes.tobytes() == exp_cls.tobytes()
         assert ranks.tobytes() == exp_rank.tobytes()
-        if n_shards == 1:
-            one = sampler.invert(np.random.default_rng(streams[0]).random(2 * regions.size),
-                                 regions)
-            assert one[0].tobytes() == exp_cls.tobytes()
-            assert one[1].tobytes() == exp_rank.tobytes()
 
 
 class TestBackendEquivalence:

@@ -337,8 +337,11 @@ def assert_stack_matches_loop(dists, codes, seed):
     rng_loop, rng_stack, rng_pickled = (np.random.default_rng(seed) for _ in range(3))
     with np.errstate(all="ignore"):
         expected = per_group_draws(dists, rng_loop, codes)
-        got = stack.sample(rng_stack, codes)
-        pickled = pickle.loads(pickle.dumps(stack)).sample(rng_pickled, codes)
+        one_shard = np.zeros(len(codes), dtype=np.int64)
+        got = stack.invert(rng_stack.random(len(codes)), codes, one_shard)
+        pickled = pickle.loads(pickle.dumps(stack)).invert(
+            rng_pickled.random(len(codes)), codes, one_shard
+        )
     assert got.dtype == np.float64 and got.shape == (len(codes),)
     assert got.tobytes() == expected.tobytes()
     assert pickled.tobytes() == expected.tobytes()
@@ -454,7 +457,7 @@ def test_distribution_stack_spliced_takes_each_branch_once(n_rows, case):
         u = w + (1.0 - w) * np.tile(np.linspace(1e-9, 0.999, 6), n_rows)
         assert (u > w).all()
     expected = per_group_draws(dists, FixedUniforms(u), codes)
-    got = DistributionStack(dists).sample(FixedUniforms(u), codes)
+    got = DistributionStack(dists).invert(u, codes, np.zeros_like(codes))
     assert got.tobytes() == expected.tobytes()
     # The formula that evaluated both branches everywhere and kept one,
     # on arrays (the per-group loop) and on scalars (a scalar ``ppf``).
