@@ -51,6 +51,7 @@ __all__ = [
     "DistributionStack",
     "searchsorted_left",
     "shard_uniforms",
+    "stable_order",
 ]
 
 #: Cells in the smallest table; keeps tiny CDFs (region mixes, class
